@@ -245,48 +245,40 @@ void ReportShardCounters(benchmark::State& state) {
       total_acq == 0 ? 0.0
                      : static_cast<double>(max_acq) /
                            static_cast<double>(total_acq));
-  // Commit-pipeline behaviour over the whole run: how often commit
-  // acknowledgment actually parked, how targeted the watermark wakeups
-  // were, whether the ring ever backpressured, and the deepest in-flight
-  // commit window — these land in BENCH_micro_ops.json so the lock-free
+  // Engine metrics over the whole run, by registry name. Commit pipeline:
+  // how often commit acknowledgment actually parked, how targeted the
+  // watermark wakeups were, whether the ring ever backpressured, and the
+  // deepest in-flight commit window. Certification: how many SSI commits
+  // skipped certification entirely (conflict-free fast path) vs were
+  // validated by a combining pass, and how much batching the combiner
+  // achieved (combined/batches > 1 means one lock acquisition certified
+  // several committers). These land in BENCH_micro_ops.json so the
   // pipeline's behaviour stays tracked alongside its throughput.
-  const DBStats s = g_mt_db->GetStats();
-  state.counters["commit_waits"] =
-      benchmark::Counter(static_cast<double>(s.commit_waits));
-  state.counters["commit_wakeups"] =
-      benchmark::Counter(static_cast<double>(s.commit_wakeups));
-  state.counters["ring_full_stalls"] =
-      benchmark::Counter(static_cast<double>(s.ring_full_stalls));
-  state.counters["max_commit_window"] =
-      benchmark::Counter(static_cast<double>(s.max_commit_window_depth));
-  // Certification-stage split: how many SSI commits skipped certification
-  // entirely (conflict-free fast path) vs were validated by a combining
-  // pass, and how much batching the combiner actually achieved
-  // (combined/batches > 1 means one lock acquisition certified several
-  // committers).
-  state.counters["commit_fastpath"] =
-      benchmark::Counter(static_cast<double>(s.commit_fastpath));
-  state.counters["commit_combined"] =
-      benchmark::Counter(static_cast<double>(s.commit_combined_txns));
-  state.counters["commit_batches"] =
-      benchmark::Counter(static_cast<double>(s.commit_combine_batches));
-  state.counters["commit_max_batch"] =
-      benchmark::Counter(static_cast<double>(s.commit_max_batch));
+  const obs::MetricsSnapshot m = g_mt_db->metrics()->Collect();
+  const std::pair<const char*, uint64_t> engine_counters[] = {
+      {"commit_waits", m.Counter("commit.waits")},
+      {"commit_wakeups", m.Counter("commit.wakeups")},
+      {"ring_full_stalls", m.Counter("commit.ring_full_stalls")},
+      {"max_commit_window", m.Gauge("commit.max_window_depth")},
+      {"commit_fastpath", m.Counter("commit.fastpath")},
+      {"commit_combined", m.Counter("commit.combined_txns")},
+      {"commit_batches", m.Counter("commit.combine_batches")},
+      {"commit_max_batch", m.Gauge("commit.max_batch")},
+  };
+  for (const auto& [name, value] : engine_counters) {
+    state.counters[name] = benchmark::Counter(static_cast<double>(value));
+  }
   // Commit-path latency percentiles over the whole run, read straight off
   // the engine's commit.total_ns stage histogram (sampled recording; the
   // MT series push enough commits that the quantiles are stable).
-  const obs::Histogram* commit_hist =
-      g_mt_db->metrics()->FindHistogram("commit.total_ns");
-  if (commit_hist != nullptr) {
-    const obs::HistogramSnapshot snap = commit_hist->Snapshot();
-    if (snap.count > 0) {
-      state.counters["commit_p50_us"] =
-          benchmark::Counter(snap.Quantile(0.50) / 1000.0);
-      state.counters["commit_p95_us"] =
-          benchmark::Counter(snap.Quantile(0.95) / 1000.0);
-      state.counters["commit_p99_us"] =
-          benchmark::Counter(snap.Quantile(0.99) / 1000.0);
-    }
+  const obs::HistogramSnapshot& commit = m.Histogram("commit.total_ns");
+  if (commit.count > 0) {
+    state.counters["commit_p50_us"] =
+        benchmark::Counter(commit.Quantile(0.50) / 1000.0);
+    state.counters["commit_p95_us"] =
+        benchmark::Counter(commit.Quantile(0.95) / 1000.0);
+    state.counters["commit_p99_us"] =
+        benchmark::Counter(commit.Quantile(0.99) / 1000.0);
   }
   // SSIDB_METRICS_DUMP: write the full registry snapshot once per MT run
   // (numeric suffix keeps successive benchmarks from overwriting).

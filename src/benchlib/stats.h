@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 
 namespace ssidb::bench {
 
@@ -22,43 +23,12 @@ struct RunResult {
   uint64_t timeouts = 0;
   uint64_t app_rollbacks = 0;     ///< Intentional rollbacks (e.g. 1% NEWO).
 
-  // Durable-regime overhead counters, snapshotted from DBStats at the end
-  // of the run (absolute for the engine; points use a fresh engine, so
-  // they read as per-run totals). Zero in the simulated/in-memory regime.
-  uint64_t checkpoints_taken = 0;
-  uint64_t checkpoint_bytes_written = 0;
-  uint64_t wal_segments_deleted = 0;
-  uint64_t versions_pruned = 0;
-  /// Group-commit shape over the *measurement window* (delta-derived from
-  /// counters snapshotted at window start, so setup/warmup appends cannot
-  /// contaminate the ratio): flush batches and the mean records per batch
-  /// (what LogOptions::group_commit_wait_us tunes at high MPL).
-  uint64_t log_flush_batches = 0;
-  double log_mean_batch = 0;
-
-  // Disk-tier counters (DBStats snapshot; zero when the buffer pool is
-  // disabled). hit_rate = hits / (hits + misses) when pages were touched.
-  uint64_t buffer_pool_hits = 0;
-  uint64_t buffer_pool_misses = 0;
-  uint64_t buffer_pool_evictions = 0;
-  uint64_t buffer_pool_writebacks = 0;
-  uint64_t spilled_chains = 0;
-  uint64_t faulted_chains = 0;
-
-  /// Commit-path latency over the measurement window (microseconds),
-  /// derived from the engine's "commit.total_ns" stage histogram delta.
-  /// Zero when the window recorded no samples (commit timing is sampled;
-  /// very short windows may record none). max is cumulative across the
-  /// engine's lifetime (histogram maxima cannot be windowed).
-  double commit_p50_us = 0;
-  double commit_p95_us = 0;
-  double commit_p99_us = 0;
-  double commit_max_us = 0;
-
-  double BufferPoolHitRate() const {
-    const uint64_t total = buffer_pool_hits + buffer_pool_misses;
-    return total > 0 ? static_cast<double>(buffer_pool_hits) / total : 0;
-  }
+  /// The engine's metrics registry over the measurement window: the
+  /// Delta of the snapshots taken at window start and after the workers
+  /// joined. Counters (ckpt.*, log.*, pool.*, tier.*, abort.*, ...) are
+  /// window activity, gauges are end values, and histograms (commit.*_ns,
+  /// read.*_ns, ...) hold the window's samples.
+  obs::MetricsSnapshot engine;
 
   uint64_t TotalAborts() const {
     return deadlocks + update_conflicts + unsafe + timeouts;
@@ -80,7 +50,8 @@ std::string ResultRow(const std::string& figure, const std::string& series,
                       int mpl, const RunResult& r);
 
 /// One measured point as a single-line JSON object (for SSIDB_BENCH_JSON
-/// artifacts: one object per line, JSON Lines).
+/// artifacts: one object per line, JSON Lines): the driver's own counts
+/// plus the window's registry delta under "engine" (obs::ToJson layout).
 std::string ResultJsonLine(const std::string& figure,
                            const std::string& series, int mpl,
                            const RunResult& r);

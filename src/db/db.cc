@@ -116,8 +116,8 @@ DB::~DB() {
 
 void DB::RegisterAllMetrics() {
   obs::MetricsRegistry* r = &metrics_;
-  // Histograms live in their subsystems; each registers its own and hooks
-  // the trace ring where it emits events.
+  // Each subsystem registers the counters and histograms it owns, and
+  // hooks the trace ring where it emits events.
   txn_manager_->RegisterMetrics(r, &trace_);
   executor_->RegisterMetrics(r, &trace_);
   log_manager_->RegisterMetrics(r);
@@ -126,9 +126,9 @@ void DB::RegisterAllMetrics() {
     tier_->SetTraceRing(&trace_);
   }
 
-  // Counters and gauges read through the subsystems' existing relaxed
-  // accessors: the recording site stays a single fetch-add (or narrow
-  // mutex), and the registry only attaches names at collection time.
+  // The rest read through their owners' relaxed accessors: the recording
+  // site stays a single fetch-add (or narrow mutex), and the registry only
+  // attaches names at collection time.
   ConflictTracker* tracker = tracker_.get();
   r->RegisterCounter("ssi.unsafe_aborts",
                      [tracker] { return tracker->unsafe_aborts(); });
@@ -136,50 +136,23 @@ void DB::RegisterAllMetrics() {
   r->RegisterCounter("lock.waits", [locks] { return locks->waits(); });
   r->RegisterCounter("lock.deadlocks",
                      [locks] { return locks->deadlocks_detected(); });
+  r->RegisterCounter("lock.backstop_progress",
+                     [locks] { return locks->backstop_progress(); });
   r->RegisterGauge("lock.grants", [locks] {
     return static_cast<uint64_t>(locks->GrantCount());
-  });
-  LogManager* log = log_manager_.get();
-  r->RegisterCounter("log.records",
-                     [log] { return log->appended_records(); });
-  r->RegisterCounter("log.flush_batches",
-                     [log] { return log->flush_batches(); });
-  TxnManager* txns = txn_manager_.get();
-  r->RegisterGauge("engine.active_txns", [txns] {
-    return static_cast<uint64_t>(txns->active_count());
-  });
-  r->RegisterGauge("engine.suspended_txns", [txns] {
-    return static_cast<uint64_t>(txns->suspended_count());
   });
   r->RegisterGauge("session.open", [this] {
     return static_cast<uint64_t>(
         sessions_open_.load(std::memory_order_relaxed));
   });
-  r->RegisterCounter("commit.waits", [txns] { return txns->commit_waits(); });
-  r->RegisterCounter("commit.wakeups",
-                     [txns] { return txns->commit_wakeups(); });
-  r->RegisterCounter("commit.ring_full_stalls",
-                     [txns] { return txns->ring_full_stalls(); });
-  r->RegisterGauge("commit.max_window_depth",
-                   [txns] { return txns->max_commit_window_depth(); });
-  r->RegisterCounter("commit.combine_batches",
-                     [txns] { return txns->commit_combine_batches(); });
-  r->RegisterCounter("commit.combined_txns",
-                     [txns] { return txns->commit_combined_txns(); });
-  r->RegisterCounter("commit.fastpath",
-                     [txns] { return txns->commit_fastpath(); });
-  r->RegisterGauge("txn.page_fcw_entries", [txns] {
-    return static_cast<uint64_t>(txns->page_write_entries());
-  });
-  r->RegisterCounter("ckpt.taken", [this] {
-    return checkpoints_taken_.load(std::memory_order_relaxed);
-  });
-  r->RegisterCounter("ckpt.bytes_written", [this] {
-    return checkpoint_bytes_written_.load(std::memory_order_relaxed);
-  });
+  r->RegisterCounter("ckpt.taken", [this] { return checkpoints_taken(); });
+  r->RegisterCounter("ckpt.bytes_written",
+                     [this] { return checkpoint_bytes_written(); });
   r->RegisterCounter("wal.segments_deleted", [this] {
     return wal_segments_deleted_.load(std::memory_order_relaxed);
   });
+  // Inline write-path prunes plus the background sweep plus manual
+  // PruneVersions calls.
   Executor* exec = executor_.get();
   r->RegisterCounter("gc.versions_pruned", [this, exec] {
     return versions_pruned_.load(std::memory_order_relaxed) +
@@ -188,10 +161,10 @@ void DB::RegisterAllMetrics() {
   // Fault model / degraded mode (ARCHITECTURE.md "Fault model &
   // degradation"): the read-only gate plus per-subsystem I/O failure
   // counters, one per failure domain so forensics can tell which artifact
-  // the disk hurt.
+  // the disk hurt (io.errors.wal and io.errors.pool register with their
+  // owners).
   r->RegisterGauge("db.read_only",
                    [this] { return read_only() ? uint64_t{1} : uint64_t{0}; });
-  r->RegisterCounter("io.errors.wal", [log] { return log->io_errors(); });
   r->RegisterCounter("io.errors.checkpoint", [this] {
     return checkpoint_io_errors_.load(std::memory_order_relaxed);
   });
@@ -200,30 +173,13 @@ void DB::RegisterAllMetrics() {
                        [env] { return env->injected_faults(); });
   }
   if (tier_ != nullptr) {
-    BufferPool* pool = tier_->pool();
     StorageTier* tier = tier_.get();
-    r->RegisterCounter("pool.hits", [pool] { return pool->hits(); });
-    r->RegisterCounter("pool.misses", [pool] { return pool->misses(); });
-    r->RegisterCounter("pool.evictions",
-                       [pool] { return pool->evictions(); });
-    r->RegisterCounter("pool.writebacks",
-                       [pool] { return pool->writebacks(); });
     r->RegisterCounter("tier.spilled_chains",
                        [tier] { return tier->spilled_chains(); });
     r->RegisterCounter("tier.faulted_chains",
                        [tier] { return tier->faulted_chains(); });
-    r->RegisterCounter("io.retries", [pool] { return pool->io_retries(); });
-    r->RegisterCounter("io.errors.pool",
-                       [pool] { return pool->io_errors(); });
     r->RegisterCounter("io.errors.tier",
                        [tier] { return tier->io_errors(); });
-  }
-  // One counter per abort-taxonomy reason (kNone excluded: it is never
-  // counted — unclassified aborts fold into kExplicit).
-  for (size_t i = 1; i < kAbortReasonCount; ++i) {
-    const AbortReason reason = static_cast<AbortReason>(i);
-    r->RegisterCounter(std::string("abort.") + AbortReasonName(reason),
-                       [txns, reason] { return txns->abort_count(reason); });
   }
 }
 
@@ -575,49 +531,6 @@ size_t DB::PruneVersions(TableId id) {
     versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
   }
   return freed;
-}
-
-DBStats DB::GetStats() const {
-  DBStats s;
-  s.unsafe_aborts = tracker_->unsafe_aborts();
-  s.deadlocks = lock_manager_->deadlocks_detected();
-  s.lock_waits = lock_manager_->waits();
-  s.log_records = log_manager_->appended_records();
-  s.log_flush_batches = log_manager_->flush_batches();
-  s.log_mean_flush_batch = log_manager_->mean_flush_batch();
-  s.active_txns = txn_manager_->active_count();
-  s.suspended_txns = txn_manager_->suspended_count();
-  s.lock_grants = lock_manager_->GrantCount();
-  s.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  s.checkpoint_bytes_written =
-      checkpoint_bytes_written_.load(std::memory_order_relaxed);
-  s.wal_segments_deleted =
-      wal_segments_deleted_.load(std::memory_order_relaxed);
-  s.versions_pruned = versions_pruned_.load(std::memory_order_relaxed) +
-                      executor_->versions_pruned();
-  s.page_fcw_entries = txn_manager_->page_write_entries();
-  s.commit_waits = txn_manager_->commit_waits();
-  s.commit_wakeups = txn_manager_->commit_wakeups();
-  s.ring_full_stalls = txn_manager_->ring_full_stalls();
-  s.max_commit_window_depth = txn_manager_->max_commit_window_depth();
-  s.commit_combine_batches = txn_manager_->commit_combine_batches();
-  s.commit_combined_txns = txn_manager_->commit_combined_txns();
-  s.commit_max_batch = txn_manager_->commit_max_batch();
-  s.commit_fastpath = txn_manager_->commit_fastpath();
-  if (tier_ != nullptr) {
-    const BufferPool* pool = tier_->pool();
-    s.buffer_pool_hits = pool->hits();
-    s.buffer_pool_misses = pool->misses();
-    s.buffer_pool_evictions = pool->evictions();
-    s.buffer_pool_writebacks = pool->writebacks();
-    s.spilled_chains = tier_->spilled_chains();
-    s.faulted_chains = tier_->faulted_chains();
-  }
-  for (size_t i = 0; i < kAbortReasonCount; ++i) {
-    s.aborts.by_reason[i] =
-        txn_manager_->abort_count(static_cast<AbortReason>(i));
-  }
-  return s;
 }
 
 }  // namespace ssidb

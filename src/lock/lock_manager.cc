@@ -181,7 +181,9 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
     }
     // Bounded waits so periodic kills and external abort marks are seen
     // promptly even if no lock in this shard is released.
-    shard.cv.wait_for(guard, std::chrono::milliseconds(2));
+    const bool timed_out =
+        shard.cv.wait_for(guard, std::chrono::milliseconds(2)) ==
+        std::cv_status::timeout;
     if (std::chrono::steady_clock::now() > deadline) {
       ClearWaits(txn);
       result.status = Status::TimedOut("lock wait timeout");
@@ -189,6 +191,9 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
     }
     CollectBlockers(shard.entries[key], txn, mode, key.kind, &blockers);
     if (blockers.empty()) {
+      if (timed_out) {
+        backstop_progress_.fetch_add(1, std::memory_order_relaxed);
+      }
       ClearWaits(txn);
       grant();
       probe_sireads_after_grant();

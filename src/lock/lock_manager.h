@@ -152,11 +152,17 @@ class LockManager {
   SIReadIndex* siread_index() { return &sireads_; }
   const SIReadIndex* siread_index() const { return &sireads_; }
 
-  /// Counters for the benchmark reports.
+  /// Counters (the DB registers them as lock.*).
   uint64_t deadlocks_detected() const {
     return deadlocks_detected_.load(std::memory_order_relaxed);
   }
   uint64_t waits() const { return waits_.load(std::memory_order_relaxed); }
+  /// 2ms backstop timeouts after which the waiter found no blockers —
+  /// evidence of a release whose notify never woke it
+  /// (lock.backstop_progress).
+  uint64_t backstop_progress() const {
+    return backstop_progress_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct LockEntry {
@@ -254,6 +260,7 @@ class LockManager {
 
   std::atomic<uint64_t> deadlocks_detected_{0};
   std::atomic<uint64_t> waits_{0};
+  std::atomic<uint64_t> backstop_progress_{0};
   /// Live blocking-table grants. Unsigned with an explicit
   /// decrement-not-below-zero contract (SubGrants).
   std::atomic<uint64_t> grant_count_{0};

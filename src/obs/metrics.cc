@@ -16,6 +16,15 @@ size_t HistogramShards() {
   return static_cast<size_t>(t < 16 ? t : 16);
 }
 
+/// Binary search over one of MetricsSnapshot's name-sorted vectors.
+template <typename V>
+const typename V::value_type* FindByName(const V& v, std::string_view name) {
+  auto it = std::lower_bound(
+      v.begin(), v.end(), name,
+      [](const auto& entry, std::string_view n) { return entry.first < n; });
+  return it != v.end() && it->first == name ? &*it : nullptr;
+}
+
 }  // namespace
 
 uint64_t HistogramSnapshot::Quantile(double q) const {
@@ -88,20 +97,65 @@ HistogramSnapshot Histogram::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::RegisterCounter(std::string name, ValueFn fn) {
+uint64_t MetricsSnapshot::Counter(std::string_view name) const {
+  const auto* e = FindByName(counters, name);
+  return e != nullptr ? e->second : 0;
+}
+
+uint64_t MetricsSnapshot::Gauge(std::string_view name) const {
+  const auto* e = FindByName(gauges, name);
+  return e != nullptr ? e->second : 0;
+}
+
+const HistogramSnapshot& MetricsSnapshot::Histogram(
+    std::string_view name) const {
+  static const HistogramSnapshot kEmpty;
+  const auto* e = FindByName(histograms, name);
+  return e != nullptr ? e->second : kEmpty;
+}
+
+MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& since) const {
+  MetricsSnapshot d;
+  d.counters.reserve(counters.size());
+  for (const auto& [name, value] : counters) {
+    const uint64_t before = since.Counter(name);
+    d.counters.emplace_back(name, value >= before ? value - before : 0);
+  }
+  d.gauges = gauges;
+  d.histograms.reserve(histograms.size());
+  for (const auto& [name, h] : histograms) {
+    d.histograms.emplace_back(name, h.Delta(since.Histogram(name)));
+  }
+  return d;
+}
+
+bool MetricsRegistry::TakenLocked(std::string_view name) const {
+  const auto named = [name](const auto& entry) { return entry.first == name; };
+  return std::any_of(counters_.begin(), counters_.end(), named) ||
+         std::any_of(gauges_.begin(), gauges_.end(), named) ||
+         std::any_of(histograms_.begin(), histograms_.end(), named);
+}
+
+Status MetricsRegistry::RegisterCounter(std::string name, ValueFn fn) {
   std::lock_guard<std::mutex> guard(mu_);
+  if (TakenLocked(name)) return Status::InvalidArgument("duplicate metric");
   counters_.emplace_back(std::move(name), std::move(fn));
+  return Status::OK();
 }
 
-void MetricsRegistry::RegisterGauge(std::string name, ValueFn fn) {
+Status MetricsRegistry::RegisterGauge(std::string name, ValueFn fn) {
   std::lock_guard<std::mutex> guard(mu_);
+  if (TakenLocked(name)) return Status::InvalidArgument("duplicate metric");
   gauges_.emplace_back(std::move(name), std::move(fn));
+  return Status::OK();
 }
 
-void MetricsRegistry::RegisterHistogram(std::string name,
-                                        const Histogram* histogram) {
+Status MetricsRegistry::RegisterHistogram(std::string name,
+                                          const Histogram* histogram) {
   std::lock_guard<std::mutex> guard(mu_);
+  if (TakenLocked(name)) return Status::InvalidArgument("duplicate metric");
   histograms_.emplace_back(std::move(name), histogram);
+  return Status::OK();
 }
 
 MetricsSnapshot MetricsRegistry::Collect() const {
@@ -126,14 +180,6 @@ MetricsSnapshot MetricsRegistry::Collect() const {
   std::sort(out.gauges.begin(), out.gauges.end(), by_name);
   std::sort(out.histograms.begin(), out.histograms.end(), by_name);
   return out;
-}
-
-const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  for (const auto& [n, h] : histograms_) {
-    if (n == name) return h;
-  }
-  return nullptr;
 }
 
 }  // namespace obs

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/common/epoch.h"  // RoundUpPow2, TopologyShards, ThreadTopologySlot
+#include "src/common/status.h"
 
 namespace ssidb {
 namespace obs {
@@ -47,15 +48,16 @@ inline uint64_t NowNanos() {
           .count());
 }
 
-/// Per-thread sampling tick: true on every (mask+1)-th call from this
-/// thread. `mask` must be (power of two - 1); 0 samples every call.
-/// Stage timing on the commit path costs ~7 clock reads per sampled
-/// commit — at the default 1-in-16 rate that is noise against a ~1.5us
-/// commit, which is what keeps the BM_MTUpdateDisjoint criterion intact.
-inline bool SampleTick(uint32_t mask) {
-  if (mask == 0) return true;
-  thread_local uint32_t tick = 0;
-  return (tick++ & mask) == 0;
+/// Sampling tick: true on every (mask+1)-th call against `tick`. `mask`
+/// must be (power of two - 1); 0 samples every call. Each sampling site
+/// passes its own thread_local tick: sites sharing one would phase-lock
+/// (a thread alternating one read and one commit would only ever sample
+/// the read). Stage timing on the commit path costs ~7 clock reads per
+/// sampled commit — at the default 1-in-16 rate that is noise against a
+/// ~1.5us commit, which is what keeps the BM_MTUpdateDisjoint criterion
+/// intact.
+inline bool SampleTick(uint32_t& tick, uint32_t mask) {
+  return mask == 0 || (tick++ & mask) == 0;
 }
 
 /// Round a sample period from DBOptions into the mask SampleTick wants.
@@ -139,8 +141,8 @@ class Histogram {
   void RecordAt(size_t slot, uint64_t v);
 
   /// Merge every shard into one snapshot. Safe concurrently with
-  /// recorders; each shard counter is individually coherent (same
-  /// contract as DBStats).
+  /// recorders; each shard counter is individually coherent (the
+  /// registry's Collect() contract).
   HistogramSnapshot Snapshot() const;
 
   size_t shards() const { return shard_mask_ + 1; }
@@ -162,14 +164,33 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, uint64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+
+  /// Lookup by name (binary search over the sorted vectors). An absent
+  /// counter or gauge reads 0 and an absent histogram reads empty, the
+  /// same as a registered one that never moved — e.g. pool.* on an engine
+  /// without a storage tier.
+  uint64_t Counter(std::string_view name) const;
+  uint64_t Gauge(std::string_view name) const;
+  const HistogramSnapshot& Histogram(std::string_view name) const;
+
+  /// The window from `since` (an earlier snapshot of the same registry) to
+  /// this one: counters subtract, gauges keep this snapshot's value, and
+  /// histograms subtract bucket-wise (HistogramSnapshot::Delta).
+  MetricsSnapshot Delta(const MetricsSnapshot& since) const;
 };
 
 /// Named registry. Registration stores a *reader* for each metric — a
-/// callback over the owning subsystem's existing atomic counter (the
-/// DBStats accessors keep their contract; the registry is the one metrics
-/// system layered over the same storage) or a pointer to a Histogram the
-/// subsystem records into directly. The mutex is registration/collection
-/// only; no hot path ever takes it.
+/// callback over the owning subsystem's atomic counter, registered by the
+/// subsystem that owns it — or a pointer to a Histogram the subsystem
+/// records into directly. The mutex is registration/collection only; no
+/// hot path ever takes it.
+///
+/// Collect() contract: every value is read from a relaxed atomic (or under
+/// its subsystem's narrow mutex), so each one is individually coherent and
+/// Collect() may run on any thread at any time, under full load. Nothing
+/// is promised *across* metrics: a snapshot may show a commit's log record
+/// but not yet its lock release — the engine has no global lock under
+/// which a cross-subsystem cut could be taken.
 class MetricsRegistry {
  public:
   using ValueFn = std::function<uint64_t()>;
@@ -178,20 +199,23 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  // Names are unique across all three kinds: registering a taken name
+  // returns InvalidArgument and keeps the first registration.
+
   /// A monotone cumulative counter (Prometheus counter semantics).
-  void RegisterCounter(std::string name, ValueFn fn);
+  Status RegisterCounter(std::string name, ValueFn fn);
   /// A point-in-time value that may move both ways (gauge semantics).
-  void RegisterGauge(std::string name, ValueFn fn);
+  Status RegisterGauge(std::string name, ValueFn fn);
   /// A histogram the owner records into; must outlive the registry user.
-  void RegisterHistogram(std::string name, const Histogram* histogram);
+  Status RegisterHistogram(std::string name, const Histogram* histogram);
 
   /// Evaluate every reader and merge every histogram.
   MetricsSnapshot Collect() const;
 
-  /// Lookup for window-delta consumers (benchlib); nullptr if absent.
-  const Histogram* FindHistogram(std::string_view name) const;
-
  private:
+  /// Caller holds mu_.
+  bool TakenLocked(std::string_view name) const;
+
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, ValueFn>> counters_;
   std::vector<std::pair<std::string, ValueFn>> gauges_;

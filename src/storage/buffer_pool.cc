@@ -395,6 +395,13 @@ Status BufferPool::FlushFile(uint64_t file_id) {
 
 void BufferPool::RegisterMetrics(obs::MetricsRegistry* registry,
                                  obs::TraceRing* trace) {
+  registry->RegisterCounter("pool.hits", [this] { return hits(); });
+  registry->RegisterCounter("pool.misses", [this] { return misses(); });
+  registry->RegisterCounter("pool.evictions", [this] { return evictions(); });
+  registry->RegisterCounter("pool.writebacks",
+                            [this] { return writebacks(); });
+  registry->RegisterCounter("io.retries", [this] { return io_retries(); });
+  registry->RegisterCounter("io.errors.pool", [this] { return io_errors(); });
   registry->RegisterHistogram("pool.read_io_ns", &read_io_ns_);
   registry->RegisterHistogram("pool.write_io_ns", &write_io_ns_);
   if (trace != nullptr) trace_.store(trace, std::memory_order_release);

@@ -139,7 +139,7 @@ class BufferPool {
   /// runs serve their first faults without touching disk.
   Status FlushFile(uint64_t file_id);
 
-  // Counters (relaxed; DBStats contract).
+  // Counters (relaxed; registered by RegisterMetrics as pool.* / io.*).
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const {
@@ -157,10 +157,10 @@ class BufferPool {
     return io_errors_.load(std::memory_order_relaxed);
   }
 
-  /// Register pool I/O latency histograms (pread of a faulted page,
-  /// pwrite of a writeback). Always-on timing: every sample is a real
-  /// disk I/O, so the clock reads are noise. `trace` (optional) receives a
-  /// kIOError event per exhausted writeback.
+  /// Register the pool counters and the I/O latency histograms (pread of
+  /// a faulted page, pwrite of a writeback). Always-on timing: every
+  /// sample is a real disk I/O, so the clock reads are noise. `trace`
+  /// (optional) receives a kIOError event per exhausted writeback.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        obs::TraceRing* trace = nullptr);
 

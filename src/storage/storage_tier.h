@@ -88,8 +88,8 @@ class StorageTier {
 
   size_t run_count(uint32_t table_id) const;
 
-  // Spill/fault counters (relaxed; DBStats contract). The pool owns
-  // hits/misses/evictions/writebacks.
+  // Spill/fault counters (relaxed; the DB registers them as tier.*). The
+  // pool owns hits/misses/evictions/writebacks.
   uint64_t spilled_chains() const {
     return spilled_chains_.load(std::memory_order_relaxed);
   }

@@ -42,7 +42,7 @@ void CommitRing::Publish(Timestamp ts) {
                      /*arg32=*/static_cast<uint32_t>(n), reuse_floor);
       }
       // Backpressure parks are counted by full_stalls_ alone — never as
-      // commit-ack waits, so DBStats keeps the two distinguishable.
+      // commit-ack waits, so the metrics keep the two distinguishable.
       WaitUntilCovered(reuse_floor, nullptr);
     }
   }
@@ -205,7 +205,10 @@ void CommitRing::WaitUntilCovered(Timestamp ts,
       guard.unlock();
       Drive();
       guard.lock();
-      if (stable_.load(std::memory_order_seq_cst) >= ts) break;
+      if (stable_.load(std::memory_order_seq_cst) >= ts) {
+        backstop_progress_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
     }
   }
   w.count.fetch_sub(1, std::memory_order_release);

@@ -155,7 +155,7 @@ class CommitRing {
   /// mutex/condvar line; small machines keep the old footprint.
   uint64_t waiter_shards() const { return waiter_mask_ + 1; }
 
-  // --- Commit-pipeline counters (relaxed; DBStats contract). ---
+  // --- Commit-pipeline counters (relaxed; registered by TxnManager). ---
   /// Acknowledgment waits that actually parked on a condvar.
   uint64_t waits_parked() const {
     return waits_parked_.load(std::memory_order_relaxed);
@@ -172,6 +172,12 @@ class CommitRing {
   /// allocation: the deepest the in-flight commit window ever got.
   uint64_t max_depth() const {
     return max_depth_.load(std::memory_order_relaxed);
+  }
+  /// 1ms backstop timeouts whose re-drive then covered the waiter —
+  /// evidence of a wakeup the notify path missed (half of
+  /// commit.backstop_progress; TxnManager counts the other).
+  uint64_t backstop_progress() const {
+    return backstop_progress_.load(std::memory_order_relaxed);
   }
 
   /// Hook the trace ring: ring-full stalls emit kRingStall events
@@ -240,6 +246,7 @@ class CommitRing {
   std::atomic<uint64_t> wakeups_issued_{0};
   std::atomic<uint64_t> full_stalls_{0};
   std::atomic<uint64_t> max_depth_{0};
+  std::atomic<uint64_t> backstop_progress_{0};
   obs::TraceRing* trace_ = nullptr;
 };
 

@@ -194,7 +194,8 @@ Status Executor::ReadChainFaulting(TxnCtx& txn, Table* t, Slice key,
   // Hit latency is sampled; once a fault fires the I/O dominates, so an
   // unsampled read starts its clock at the first fault and the fault
   // histogram stays complete either way.
-  const bool sampled = obs::SampleTick(sample_mask_);
+  thread_local uint32_t read_tick = 0;
+  const bool sampled = obs::SampleTick(read_tick, sample_mask_);
   uint64_t t0 = sampled ? obs::NowNanos() : 0;
   int attempt = 0;
   // A faulted chain can in principle be re-evicted by the sweeper between

@@ -241,6 +241,11 @@ void LogManager::ForgetWalSegment(uint64_t seq) {
 }
 
 void LogManager::RegisterMetrics(obs::MetricsRegistry* registry) {
+  registry->RegisterCounter("log.records",
+                            [this] { return appended_records(); });
+  registry->RegisterCounter("log.flush_batches",
+                            [this] { return flush_batches(); });
+  registry->RegisterCounter("io.errors.wal", [this] { return io_errors(); });
   registry->RegisterHistogram("log.flush_batch_ns", &flush_batch_ns_);
 }
 
@@ -325,7 +330,6 @@ void LogManager::FlusherLoop() {
         io_error_cb_ = nullptr;
       }
       flush_batches_.fetch_add(1, std::memory_order_relaxed);
-      flushed_records_.fetch_add(batch.size(), std::memory_order_relaxed);
       // Pull out the flush subscriptions this batch covered; they fire
       // below, after blocking waiters are notified and mu_ is released.
       for (size_t i = 0; i < flush_subs_.size();) {

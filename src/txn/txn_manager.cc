@@ -54,6 +54,45 @@ void TxnManager::RegisterMetrics(obs::MetricsRegistry* registry,
   registry->RegisterGauge("commit.inflight", [this] {
     return commits_inflight_.load(std::memory_order_relaxed);
   });
+  // commit.waits: blocking Commit() parks plus ring-internal coverage parks.
+  registry->RegisterCounter("commit.waits", [this] {
+    return ring_.waits_parked() + ack_parks_.load(std::memory_order_relaxed);
+  });
+  registry->RegisterCounter("commit.wakeups",
+                            [this] { return ring_.wakeups_issued(); });
+  registry->RegisterCounter("commit.ring_full_stalls",
+                            [this] { return ring_.full_stalls(); });
+  registry->RegisterGauge("commit.max_window_depth",
+                          [this] { return ring_.max_depth(); });
+  registry->RegisterCounter("commit.backstop_progress", [this] {
+    return ring_.backstop_progress() +
+           ack_backstop_progress_.load(std::memory_order_relaxed);
+  });
+  registry->RegisterCounter("commit.combine_batches",
+                            [this] { return combiner_.combine_batches(); });
+  registry->RegisterCounter("commit.combined_txns",
+                            [this] { return combiner_.combined_txns(); });
+  registry->RegisterGauge("commit.max_batch",
+                          [this] { return combiner_.max_batch(); });
+  registry->RegisterCounter("commit.fastpath", [this] {
+    return fastpath_commits_.load(std::memory_order_relaxed);
+  });
+  registry->RegisterGauge("engine.active_txns", [this] {
+    return static_cast<uint64_t>(active_count());
+  });
+  registry->RegisterGauge("engine.suspended_txns", [this] {
+    return static_cast<uint64_t>(suspended_count());
+  });
+  registry->RegisterGauge("txn.page_fcw_entries", [this] {
+    return static_cast<uint64_t>(page_write_entries());
+  });
+  // One counter per abort-taxonomy reason (kNone excluded: it is never
+  // counted — unclassified aborts fold into kExplicit).
+  for (size_t i = 1; i < kAbortReasonCount; ++i) {
+    const AbortReason reason = static_cast<AbortReason>(i);
+    registry->RegisterCounter(std::string("abort.") + AbortReasonName(reason),
+                              [this, reason] { return abort_count(reason); });
+  }
   trace_ = trace;
   ring_.set_trace(trace);
 }
@@ -261,7 +300,10 @@ Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
       // done_inline rather than done, so check both flags.
       guard.unlock();
       ring_.Drive();
-      if (w.done_inline) return w.status;
+      if (w.done_inline) {
+        ack_backstop_progress_.fetch_add(1, std::memory_order_relaxed);
+        return w.status;
+      }
       guard.lock();
     }
   }
@@ -278,7 +320,8 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
   // Stage timing (sampled): a sampled commit records every stage it
   // executes — entry..timestamp-final is "certify" whether it took the
   // combiner or the fast path.
-  const bool sampled = obs::SampleTick(sample_mask_);
+  thread_local uint32_t commit_tick = 0;
+  const bool sampled = obs::SampleTick(commit_tick, sample_mask_);
   const uint64_t t_entry = sampled ? obs::NowNanos() : 0;
   // A commit with nothing to stamp never enters the ring and never waits
   // on the watermark: read-only transactions publish nothing. Their commit

@@ -314,34 +314,8 @@ class TxnManager {
   /// Total page-FCW entries reclaimed by those sweeps.
   uint64_t page_entries_pruned() const;
 
-  // --- Commit-pipeline counters (DBStats). ---
-  /// Commit-acknowledgment waits that parked on a condvar: blocking
-  /// Commit() calls that parked on their completion (the wrapper's sync
-  /// waiter) plus ring-internal coverage parks.
-  uint64_t commit_waits() const {
-    return ring_.waits_parked() +
-           ack_parks_.load(std::memory_order_relaxed);
-  }
-  /// Waiter-shard notifications issued by watermark advances.
-  uint64_t commit_wakeups() const { return ring_.wakeups_issued(); }
-  /// Commits that stalled on a full commit-slot ring.
-  uint64_t ring_full_stalls() const { return ring_.full_stalls(); }
-  /// Deepest observed in-flight commit window (allocated - stable).
-  uint64_t max_commit_window_depth() const { return ring_.max_depth(); }
   /// Commit-ack waiter shards (topology-sized; tests assert the sizing).
   uint64_t commit_waiter_shards() const { return ring_.waiter_shards(); }
-  /// Combining passes that certified at least one commit.
-  uint64_t commit_combine_batches() const {
-    return combiner_.combine_batches();
-  }
-  /// Commits certified by those passes.
-  uint64_t commit_combined_txns() const { return combiner_.combined_txns(); }
-  /// Largest single combining pass.
-  uint64_t commit_max_batch() const { return combiner_.max_batch(); }
-  /// SSI commits that skipped certification (conflict-free fast path).
-  uint64_t commit_fastpath() const {
-    return fastpath_commits_.load(std::memory_order_relaxed);
-  }
   /// Writing commits submitted but not yet acknowledged (published to the
   /// ring, completion not yet fired) — the live async pipeline depth.
   uint64_t commits_inflight() const {
@@ -364,9 +338,10 @@ class TxnManager {
         std::memory_order_relaxed);
   }
 
-  /// Register the commit-pipeline stage histograms and hook the trace ring
-  /// (abort + ring-stall events). Called once by the DB façade, before any
-  /// transaction begins.
+  /// Register the commit-pipeline stage histograms, the ring, combiner and
+  /// registry counters, and the per-reason abort counters (abort.*), and
+  /// hook the trace ring (abort + ring-stall events). Called once by the
+  /// DB façade, before any transaction begins.
   void RegisterMetrics(obs::MetricsRegistry* registry, obs::TraceRing* trace);
 
   /// Degraded mode: once the WAL reports an unrecoverable I/O failure
@@ -515,6 +490,9 @@ class TxnManager {
   std::atomic<uint64_t> commits_inflight_{0};
   /// Blocking Commit() wrappers that parked on their completion.
   std::atomic<uint64_t> ack_parks_{0};
+  /// Those parks' 1ms backstop timeouts whose re-drive acknowledged the
+  /// commit (half of commit.backstop_progress; the ring counts the other).
+  std::atomic<uint64_t> ack_backstop_progress_{0};
 
   // --- Observability (src/obs). Stage timing is sampled 1-in-N per
   // thread (DBOptions::metrics_sample_period); a sampled commit records
@@ -531,7 +509,7 @@ class TxnManager {
                                      // before acknowledgment (coverage +
                                      // group-commit flush). Writes only.
   const uint32_t sample_mask_;
-  /// Per-reason abort counts (DBStats::abort_breakdown).
+  /// Per-reason abort counts (the abort.* counters).
   std::atomic<uint64_t> abort_counts_[kAbortReasonCount] = {};
   obs::TraceRing* trace_ = nullptr;
 
@@ -543,7 +521,7 @@ class TxnManager {
   const uint64_t shard_mask_;
   const std::unique_ptr<RegistryShard[]> shards_;
   /// Exact live-transaction count (a per-shard sum would not be a
-  /// coherent cut; DBStats promises individually coherent counters).
+  /// coherent cut; Collect() promises individually coherent values).
   std::atomic<size_t> active_count_{0};
 
   /// Committed, retained SSI transactions, keyed by commit timestamp

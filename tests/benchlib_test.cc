@@ -9,6 +9,7 @@
 #include "src/benchlib/driver.h"
 #include "src/benchlib/stats.h"
 #include "src/common/encoding.h"
+#include "tests/test_util.h"
 
 namespace ssidb::bench {
 namespace {
@@ -52,6 +53,25 @@ TEST(RunResultTest, RowFormattingIsStable) {
   const std::string row = ResultRow("figX", "SSI", 4, r);
   EXPECT_EQ(row, "figX,SSI,4,10.0,0.0000,0.0000,0.1000,10");
   EXPECT_NE(ResultHeader().find("commits_per_sec"), std::string::npos);
+}
+
+TEST(RunResultTest, JsonLineEmbedsTheEngineDelta) {
+  RunResult r;
+  r.seconds = 1.0;
+  r.commits = 10;
+  r.engine.counters = {{"log.flush_batches", 4}, {"log.records", 12}};
+  r.engine.gauges = {{"lock.grants", 0}};
+  const std::string line = ResultJsonLine("figX", "SSI", 4, r);
+  EXPECT_EQ(line.find('\n'), std::string::npos) << "one line";
+  EXPECT_EQ(line.rfind("{\"figure\":\"figX\",\"series\":\"SSI\",\"mpl\":4,", 0),
+            0u)
+      << line;
+  EXPECT_NE(line.find("\"commits\":10,"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"engine\":{\"counters\":{\"log.flush_batches\":4,"
+                      "\"log.records\":12},\"gauges\":{\"lock.grants\":0}"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.substr(line.size() - 3), "}}}");
 }
 
 TEST(SeriesConfigTest, ReadOnlyIsolationOverride) {
@@ -104,7 +124,11 @@ TEST(DriverTest, RunsWorkloadAcrossWorkersAndCounts) {
   EXPECT_GT(r.commits, 0u);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_GE(workload.calls.load(), r.commits);  // Warmup calls not counted.
-  EXPECT_EQ(db->GetStats().active_txns, 0u);    // Workers cleaned up.
+  // The engine delta covers the window: every counted commit wrote one log
+  // record after the window-start snapshot.
+  EXPECT_GE(CounterOf(r.engine, "log.records"), r.commits);
+  EXPECT_GT(r.engine.Histogram("commit.total_ns").count, 0u);
+  EXPECT_EQ(GaugeOf(db.get(), "engine.active_txns"), 0u);    // Workers cleaned up.
 }
 
 TEST(DriverTest, EnvParsingHelpers) {

@@ -1,8 +1,10 @@
 // The obs metrics layer: log-linear histogram bucket math, shard-merge
 // equivalence, the quantile error bound the header promises (<= 1/16,
-// asserted at 12.5%), window deltas, registry collection, and the engine's
-// stage histograms actually filling under load (metrics_sample_period = 1
-// makes every commit record, so short tests are deterministic).
+// asserted at 12.5%), window deltas, registry collection, name lookup and
+// duplicate rejection, and the engine's metrics: unique names covering
+// every engine counter, stage histograms actually filling under load
+// (metrics_sample_period = 1 makes every commit record, so short tests are
+// deterministic), and per-site sampling at the default period.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +26,10 @@
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/db/db.h"
+#include "src/io/env.h"
 #include "src/obs/exporter.h"
 #include "src/obs/metrics.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -192,7 +196,8 @@ TEST(HistogramTest, ConcurrentRecordersLoseNothing) {
 // ---- Sampling tick --------------------------------------------------------
 
 TEST(SampleTest, MaskZeroAlwaysSamples) {
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(obs::SampleTick(0));
+  uint32_t tick = 0;
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(obs::SampleTick(tick, 0));
 }
 
 TEST(SampleTest, MaskFromPeriodSamplesOneInPeriod) {
@@ -201,9 +206,10 @@ TEST(SampleTest, MaskFromPeriodSamplesOneInPeriod) {
   EXPECT_EQ(obs::SampleMask(16), 15u);
   EXPECT_EQ(obs::SampleMask(10), 15u);  // Rounded up to a power of two.
   const uint32_t mask = obs::SampleMask(16);
+  uint32_t tick = 0;
   int sampled = 0;
   for (int i = 0; i < 1600; ++i) {
-    if (obs::SampleTick(mask)) ++sampled;
+    if (obs::SampleTick(tick, mask)) ++sampled;
   }
   EXPECT_EQ(sampled, 100);
 }
@@ -232,9 +238,70 @@ TEST(MetricsRegistryTest, CollectsCountersGaugesAndHistogramsSorted) {
   // The callback reads live state: bump and re-collect.
   c.store(43);
   EXPECT_EQ(reg.Collect().counters[1].second, 43u);
+}
 
-  EXPECT_EQ(reg.FindHistogram("h.hist"), &h);
-  EXPECT_EQ(reg.FindHistogram("nope"), nullptr);
+TEST(MetricsRegistryTest, SnapshotLooksUpByNameAndKind) {
+  obs::MetricsRegistry reg;
+  for (const char* name : {"m.b", "m.d", "m.a", "m.c"}) {
+    ASSERT_TRUE(reg.RegisterCounter(name, [name] {
+                     return uint64_t{static_cast<unsigned char>(name[2])};
+                   }).ok());
+  }
+  ASSERT_TRUE(reg.RegisterGauge("g", [] { return uint64_t{9}; }).ok());
+  Histogram h;
+  h.Record(5);
+  ASSERT_TRUE(reg.RegisterHistogram("h", &h).ok());
+
+  const obs::MetricsSnapshot snap = reg.Collect();
+  EXPECT_EQ(snap.Counter("m.a"), uint64_t{'a'});
+  EXPECT_EQ(snap.Counter("m.c"), uint64_t{'c'});
+  EXPECT_EQ(snap.Counter("m.d"), uint64_t{'d'});
+  EXPECT_EQ(snap.Gauge("g"), 9u);
+  EXPECT_EQ(snap.Histogram("h").count, 1u);
+  // Absent names — and names of another kind — read as never-moved.
+  EXPECT_EQ(snap.Counter("m.e"), 0u);
+  EXPECT_EQ(snap.Counter("g"), 0u);
+  EXPECT_EQ(snap.Gauge("m.a"), 0u);
+  EXPECT_EQ(snap.Histogram("nope").count, 0u);
+}
+
+TEST(MetricsRegistryTest, DuplicateNamesAreRejectedAcrossKinds) {
+  obs::MetricsRegistry reg;
+  ASSERT_TRUE(reg.RegisterCounter("dup", [] { return uint64_t{1}; }).ok());
+  EXPECT_TRUE(reg.RegisterCounter("dup", [] { return uint64_t{2}; })
+                  .IsInvalidArgument());
+  EXPECT_TRUE(reg.RegisterGauge("dup", [] { return uint64_t{3}; })
+                  .IsInvalidArgument());
+  Histogram h;
+  EXPECT_TRUE(reg.RegisterHistogram("dup", &h).IsInvalidArgument());
+  // The first registration stands alone.
+  const obs::MetricsSnapshot snap = reg.Collect();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].second, 1u);
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.histograms.empty());
+}
+
+TEST(MetricsRegistryTest, DeltaSubtractsCountersKeepsGaugesWindowsHistograms) {
+  obs::MetricsRegistry reg;
+  std::atomic<uint64_t> c{10};
+  std::atomic<uint64_t> g{5};
+  Histogram h;
+  ASSERT_TRUE(reg.RegisterCounter("c", [&] { return c.load(); }).ok());
+  ASSERT_TRUE(reg.RegisterGauge("g", [&] { return g.load(); }).ok());
+  ASSERT_TRUE(reg.RegisterHistogram("h", &h).ok());
+  for (int i = 0; i < 100; ++i) h.Record(3);
+  const obs::MetricsSnapshot before = reg.Collect();
+  c.store(25);
+  g.store(2);
+  for (int i = 0; i < 50; ++i) h.Record(7);
+  const obs::MetricsSnapshot window = reg.Collect().Delta(before);
+  EXPECT_EQ(window.Counter("c"), 15u);
+  EXPECT_EQ(window.Gauge("g"), 2u);  // End value, not a difference.
+  EXPECT_EQ(window.Histogram("h").count, 50u);
+  EXPECT_EQ(window.Histogram("h").Quantile(0.5), 7u);
+  // A counter the earlier snapshot lacked counts from zero.
+  EXPECT_EQ(reg.Collect().Delta(obs::MetricsSnapshot{}).Counter("c"), 25u);
 }
 
 // ---- Exporter -------------------------------------------------------------
@@ -283,15 +350,12 @@ TEST(EngineMetricsTest, StageHistogramsFillUnderCommitLoad) {
   const char* kStages[] = {"commit.certify_ns",  "commit.stamp_publish_ns",
                            "commit.watermark_ns", "commit.wal_append_ns",
                            "commit.fsync_wait_ns", "commit.total_ns"};
+  const obs::MetricsSnapshot snap = db->metrics()->Collect();
   for (const char* name : kStages) {
-    const Histogram* h = db->metrics()->FindHistogram(name);
-    ASSERT_NE(h, nullptr) << name;
-    EXPECT_EQ(h->Snapshot().count, 64u) << name;
+    EXPECT_EQ(snap.Histogram(name).count, 64u) << name;
   }
   // Read path: every Get above hit in memory.
-  const Histogram* hit = db->metrics()->FindHistogram("read.hit_ns");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->Snapshot().count, 64u);
+  EXPECT_EQ(snap.Histogram("read.hit_ns").count, 64u);
 
   // DumpMetrics carries them all in one JSON line.
   const std::string json = db->DumpMetrics();
@@ -301,6 +365,112 @@ TEST(EngineMetricsTest, StageHistogramsFillUnderCommitLoad) {
   }
   EXPECT_NE(json.find("\"abort.ssi_pivot\""), std::string::npos);
   EXPECT_NE(json.find("\"log.records\""), std::string::npos);
+}
+
+TEST(EngineMetricsTest, DefaultPeriodSamplesBothReadsAndCommits) {
+  // One read and one commit per transaction at the default period, on a
+  // fresh thread (fresh thread_local ticks). Each sampling site keeps its
+  // own tick, so both histograms record; a tick shared by the read path
+  // and the commit path would land every sample on the read.
+  DBOptions opts;
+  ASSERT_EQ(opts.metrics_sample_period, 16u);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  std::thread client([&] {
+    for (int i = 0; i < 64; ++i) {
+      auto txn = db->Begin({IsolationLevel::kSerializableSSI});
+      const std::string key = EncodeU64Key(static_cast<uint64_t>(i));
+      std::string v;
+      txn->Get(table, key, &v);
+      EXPECT_TRUE(txn->Put(table, key, "x").ok());
+      EXPECT_TRUE(txn->Commit().ok());
+    }
+  });
+  client.join();
+  const obs::MetricsSnapshot snap = db->metrics()->Collect();
+  EXPECT_GT(snap.Histogram("commit.total_ns").count, 0u);
+  EXPECT_GT(snap.Histogram("read.hit_ns").count, 0u);
+}
+
+/// Every metric name is registered once, under one kind, and the engine
+/// registers each name it has ever published (the pre-registry stats
+/// struct's fields included; CHANGES.md maps them) — in-memory, and
+/// durable with a storage tier and an explicit Env.
+TEST(EngineMetricsTest, NamesAreUniqueAndCoverEveryEngineMetric) {
+  std::vector<std::string> counters = {
+      "ssi.unsafe_aborts", "lock.waits", "lock.deadlocks",
+      "lock.backstop_progress", "log.records", "log.flush_batches",
+      "commit.waits", "commit.wakeups", "commit.ring_full_stalls",
+      "commit.backstop_progress", "commit.combine_batches",
+      "commit.combined_txns", "commit.fastpath", "ckpt.taken",
+      "ckpt.bytes_written", "wal.segments_deleted", "gc.versions_pruned",
+      "io.errors.wal", "io.errors.checkpoint"};
+  for (size_t i = 1; i < kAbortReasonCount; ++i) {
+    counters.push_back(std::string("abort.") +
+                       AbortReasonName(static_cast<AbortReason>(i)));
+  }
+  const std::vector<std::string> gauges = {
+      "lock.grants",          "engine.active_txns",
+      "engine.suspended_txns", "session.open",
+      "commit.max_window_depth", "commit.max_batch",
+      "commit.inflight",      "txn.page_fcw_entries",
+      "db.read_only"};
+  const std::vector<std::string> histograms = {
+      "commit.certify_ns",    "commit.stamp_publish_ns",
+      "commit.watermark_ns",  "commit.wal_append_ns",
+      "commit.fsync_wait_ns", "commit.ack_lag_ns",
+      "commit.total_ns",      "read.hit_ns",
+      "read.fault_ns",        "log.flush_batch_ns"};
+  const std::vector<std::string> tier_counters = {
+      "pool.hits",          "pool.misses",        "pool.evictions",
+      "pool.writebacks",    "tier.spilled_chains", "tier.faulted_chains",
+      "io.retries",         "io.errors.pool",     "io.errors.tier",
+      "io.injected_faults"};
+  const std::vector<std::string> tier_histograms = {"pool.read_io_ns",
+                                                    "pool.write_io_ns"};
+
+  const auto check = [&](DB* db, bool tier) {
+    const obs::MetricsSnapshot snap = db->metrics()->Collect();
+    std::map<std::string, std::string> kind_of;
+    const auto note = [&](const auto& entries, const char* kind) {
+      for (const auto& entry : entries) {
+        EXPECT_TRUE(kind_of.emplace(entry.first, kind).second)
+            << "registered twice: " << entry.first;
+      }
+    };
+    note(snap.counters, "counter");
+    note(snap.gauges, "gauge");
+    note(snap.histograms, "histogram");
+    const auto expect = [&](const std::vector<std::string>& names,
+                            const char* kind) {
+      for (const std::string& name : names) {
+        EXPECT_EQ(kind_of[name], kind) << name;
+      }
+    };
+    expect(counters, "counter");
+    expect(gauges, "gauge");
+    expect(histograms, "histogram");
+    if (tier) {
+      expect(tier_counters, "counter");
+      expect(tier_histograms, "histogram");
+    }
+  };
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open({}, &db).ok());
+  check(db.get(), /*tier=*/false);
+  db.reset();
+
+  ScratchDir dir;
+  DBOptions opts;
+  opts.log.wal_dir = dir.path;
+  opts.buffer_pool_bytes = 1 << 16;
+  opts.env = io::Env::Default();
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  ASSERT_NE(db->storage_tier(), nullptr);
+  check(db.get(), /*tier=*/true);
 }
 
 TEST(EngineMetricsTest, RegistrySnapshotsStayMonotoneUnderConcurrentLoad) {
@@ -356,7 +526,16 @@ TEST(EngineMetricsTest, RegistrySnapshotsStayMonotoneUnderConcurrentLoad) {
   for (auto& t : workers) t.join();
 }
 
-TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
+/// Sum of every abort.* taxonomy counter in `s`.
+uint64_t AbortTotal(const obs::MetricsSnapshot& s) {
+  uint64_t total = 0;
+  for (const auto& [name, value] : s.counters) {
+    if (name.rfind("abort.", 0) == 0) total += value;
+  }
+  return total;
+}
+
+TEST(EngineMetricsTest, AbortBreakdownFoldsIntoRegistry) {
   DBOptions opts;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
@@ -368,7 +547,7 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     ASSERT_TRUE(seed->Put(table, "y", "50").ok());
     ASSERT_TRUE(seed->Commit().ok());
   }
-  EXPECT_EQ(db->GetStats().abort_breakdown().total(), 0u);
+  EXPECT_EQ(AbortTotal(db->metrics()->Collect()), 0u);
 
   // An explicit rollback is the simplest taxonomy entry.
   {
@@ -376,12 +555,11 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     ASSERT_TRUE(txn->Put(table, "x", "1").ok());
     txn->Abort();
   }
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.abort_breakdown().Count(AbortReason::kExplicit), 1u);
-  EXPECT_EQ(s.abort_breakdown().total(), 1u);
+  obs::MetricsSnapshot s = db->metrics()->Collect();
+  EXPECT_EQ(CounterOf(s, "abort.explicit"), 1u);
+  EXPECT_EQ(AbortTotal(s), 1u);
 
-  // A write-skew SSI abort lands in an SSI taxonomy slot, and the same
-  // counts surface through DumpMetrics as abort.* counters.
+  // A write-skew SSI abort lands in an SSI taxonomy slot.
   {
     auto t1 = db->Begin({IsolationLevel::kSerializableSSI});
     auto t2 = db->Begin({IsolationLevel::kSerializableSSI});
@@ -400,13 +578,14 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     if (t1->active()) t1->Abort();
     if (t2->active()) t2->Abort();
   }
-  s = db->GetStats();
-  const uint64_t ssi_aborts =
-      s.abort_breakdown().Count(AbortReason::kSsiPivot) +
-      s.abort_breakdown().Count(AbortReason::kSsiInSide) +
-      s.abort_breakdown().Count(AbortReason::kSsiOutSide);
+  s = db->metrics()->Collect();
+  const uint64_t ssi_aborts = CounterOf(s, "abort.ssi_pivot") +
+                              CounterOf(s, "abort.ssi_in_side") +
+                              CounterOf(s, "abort.ssi_out_side");
   EXPECT_EQ(ssi_aborts, 1u);
-  EXPECT_EQ(s.abort_breakdown().total(), 2u);
+  EXPECT_EQ(AbortTotal(s), 2u);
+  // DumpMetrics renders the same counters.
+  EXPECT_NE(db->DumpMetrics().find("\"abort.explicit\":1"), std::string::npos);
 }
 
 TEST(EngineMetricsTest, BackgroundDumperWritesSnapshots) {

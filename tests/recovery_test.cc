@@ -39,6 +39,7 @@
 #include "src/recovery/wal.h"
 #include "src/workloads/sibench.h"
 #include "src/workloads/tpcc_workload.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -552,8 +553,7 @@ TEST(RecoveryTest, CheckpointGarbageCollectsCoveredSegments) {
   uint64_t remaining_seq = 0;
   ASSERT_TRUE(recovery::ParseWalSegmentSeq(after[0], &remaining_seq));
   EXPECT_GT(remaining_seq, 1u);  // Segment 1 (the create) was reclaimed.
-  EXPECT_GT(db->wal_segments_deleted(), 0u);
-  EXPECT_EQ(db->GetStats().wal_segments_deleted, db->wal_segments_deleted());
+  EXPECT_GT(CounterOf(db.get(), "wal.segments_deleted"), 0u);
   db.reset();
 
   // The pruned directory still recovers everything.
@@ -685,8 +685,8 @@ TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
     EXPECT_LT(delta_bytes * 20, base_bytes);
     // O(1) GC: no ScanWalSegment re-read happened in either checkpoint.
     EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
-    EXPECT_EQ(db->GetStats().checkpoints_taken, 2u);
-    EXPECT_EQ(db->GetStats().checkpoint_bytes_written,
+    EXPECT_EQ(CounterOf(db.get(), "ckpt.taken"), 2u);
+    EXPECT_EQ(CounterOf(db.get(), "ckpt.bytes_written"),
               base_bytes + delta_bytes);
     // A checkpoint with nothing new is a no-op, not an empty delta.
     ASSERT_TRUE(db->Checkpoint().ok());

@@ -8,8 +8,12 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/db/db.h"
+#include "src/obs/metrics.h"
 
 namespace ssidb {
 
@@ -36,6 +40,33 @@ inline void BumpWatermark(DB* db, TableId table) {
   auto bump = db->Begin({IsolationLevel::kSnapshot});
   ASSERT_TRUE(bump->Put(table, "bump", "1").ok());
   ASSERT_TRUE(bump->Commit().ok());
+}
+
+/// A counter or gauge read by registry name. Unlike the lenient
+/// MetricsSnapshot lookups, a name of the wrong kind or a misspelt one
+/// fails the calling test instead of passing as a zero.
+inline uint64_t NamedValue(
+    const std::vector<std::pair<std::string, uint64_t>>& values,
+    std::string_view name) {
+  for (const auto& [n, v] : values) {
+    if (n == name) return v;
+  }
+  ADD_FAILURE() << "metric not registered with this kind: " << name;
+  return 0;
+}
+inline uint64_t CounterOf(const obs::MetricsSnapshot& m,
+                          std::string_view name) {
+  return NamedValue(m.counters, name);
+}
+inline uint64_t GaugeOf(const obs::MetricsSnapshot& m, std::string_view name) {
+  return NamedValue(m.gauges, name);
+}
+/// The same, from a fresh Collect() of `db`'s registry.
+inline uint64_t CounterOf(DB* db, std::string_view name) {
+  return CounterOf(db->metrics()->Collect(), name);
+}
+inline uint64_t GaugeOf(DB* db, std::string_view name) {
+  return GaugeOf(db->metrics()->Collect(), name);
 }
 
 }  // namespace ssidb

@@ -15,6 +15,7 @@
 #include "src/txn/commit_ring.h"
 #include "src/txn/log_manager.h"
 #include "src/txn/txn_manager.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -25,7 +26,17 @@ class TxnManagerTest : public ::testing::Test {
       : options_(opts),
         log_(options_.log),
         locks_(LockManager::Config{}),
-        mgr_(options_, &locks_, &log_) {}
+        mgr_(options_, &locks_, &log_) {
+    mgr_.RegisterMetrics(&metrics_, /*trace=*/nullptr);
+  }
+
+  /// The manager's counters and gauges, read by registry name.
+  uint64_t Counter(std::string_view name) {
+    return CounterOf(metrics_.Collect(), name);
+  }
+  uint64_t Gauge(std::string_view name) {
+    return GaugeOf(metrics_.Collect(), name);
+  }
 
   Status CommitNoCheck(const std::shared_ptr<TxnState>& txn) {
     return mgr_.Commit(txn, nullptr, {});
@@ -55,6 +66,7 @@ class TxnManagerTest : public ::testing::Test {
   LogManager log_;
   LockManager locks_;
   TxnManager mgr_;
+  obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<VersionChain>> chains_;
 };
 
@@ -126,7 +138,7 @@ TEST_F(TxnManagerTest, CommitCheckFailureAborts) {
   EXPECT_TRUE(st.IsUnsafe());
   EXPECT_EQ(t->status.load(), TxnStatus::kAborted);
   EXPECT_EQ(mgr_.active_count(), 0u);
-  EXPECT_EQ(mgr_.commit_fastpath(), 0u);
+  EXPECT_EQ(Counter("commit.fastpath"), 0u);
 }
 
 TEST_F(TxnManagerTest, ConflictFreeSSICommitSkipsCertification) {
@@ -147,8 +159,8 @@ TEST_F(TxnManagerTest, ConflictFreeSSICommitSkipsCertification) {
   EXPECT_TRUE(st.ok());
   EXPECT_FALSE(check_ran);
   EXPECT_EQ(t->status.load(), TxnStatus::kCommitted);
-  EXPECT_EQ(mgr_.commit_fastpath(), 1u);
-  EXPECT_EQ(mgr_.commit_combined_txns(), 0u);
+  EXPECT_EQ(Counter("commit.fastpath"), 1u);
+  EXPECT_EQ(Counter("commit.combined_txns"), 0u);
 }
 
 TEST_F(TxnManagerTest, AnyConflictStateForcesCertification) {
@@ -168,10 +180,10 @@ TEST_F(TxnManagerTest, AnyConflictStateForcesCertification) {
   t2->in_ref.SetSelf();  // Precise (kReferences) representation.
   EXPECT_TRUE(mgr_.Commit(t2, check, {}).ok());
   EXPECT_EQ(checks_ran, 2);
-  EXPECT_EQ(mgr_.commit_fastpath(), 0u);
-  EXPECT_EQ(mgr_.commit_combined_txns(), 2u);
-  EXPECT_GE(mgr_.commit_combine_batches(), 1u);
-  EXPECT_GE(mgr_.commit_max_batch(), 1u);
+  EXPECT_EQ(Counter("commit.fastpath"), 0u);
+  EXPECT_EQ(Counter("commit.combined_txns"), 2u);
+  EXPECT_GE(Counter("commit.combine_batches"), 1u);
+  EXPECT_GE(Gauge("commit.max_batch"), 1u);
 }
 
 TEST_F(TxnManagerTest, MarkedForAbortHonouredAtCommit) {
@@ -531,7 +543,7 @@ TEST_F(TinyRingTxnManagerTest, ManyLapsOfWritingCommits) {
     ASSERT_TRUE(CommitWithWrite(t).ok());
     ASSERT_EQ(mgr_.stable_ts(), t->commit_ts.load());
   }
-  EXPECT_EQ(mgr_.ring_full_stalls(), 0u);  // Sequential: window depth 1.
+  EXPECT_EQ(Counter("commit.ring_full_stalls"), 0u);  // Sequential: window depth 1.
 }
 
 TEST_F(TinyRingTxnManagerTest, ConcurrentWritersSurviveBackpressure) {
