@@ -136,8 +136,6 @@ void DB::RegisterAllMetrics() {
   r->RegisterCounter("lock.waits", [locks] { return locks->waits(); });
   r->RegisterCounter("lock.deadlocks",
                      [locks] { return locks->deadlocks_detected(); });
-  r->RegisterCounter("lock.backstop_progress",
-                     [locks] { return locks->backstop_progress(); });
   r->RegisterGauge("lock.grants", [locks] {
     return static_cast<uint64_t>(locks->GrantCount());
   });

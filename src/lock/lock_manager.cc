@@ -43,7 +43,11 @@ LockManager::LockManager(const Config& config) : config_(config) {
 }
 
 LockManager::~LockManager() {
-  stop_.store(true);
+  {
+    std::lock_guard<std::mutex> guard(graph_mu_);
+    stop_ = true;
+  }
+  stop_cv_.notify_all();
   if (detector_.joinable()) detector_.join();
 }
 
@@ -179,21 +183,17 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
         return result;
       }
     }
-    // Bounded waits so periodic kills and external abort marks are seen
-    // promptly even if no lock in this shard is released.
-    const bool timed_out =
-        shard.cv.wait_for(guard, std::chrono::milliseconds(2)) ==
-        std::cv_status::timeout;
-    if (std::chrono::steady_clock::now() > deadline) {
+    // shard.mu has been held since the blockers and killed_ checks above,
+    // and both wake sources — a release, a periodic kill — notify only
+    // after an acquire/release of shard.mu (header), so the wait ends on
+    // the wakeup or on the lock-timeout deadline, never on a tick.
+    if (shard.cv.wait_until(guard, deadline) == std::cv_status::timeout) {
       ClearWaits(txn);
       result.status = Status::TimedOut("lock wait timeout");
       return result;
     }
     CollectBlockers(shard.entries[key], txn, mode, key.kind, &blockers);
     if (blockers.empty()) {
-      if (timed_out) {
-        backstop_progress_.fetch_add(1, std::memory_order_relaxed);
-      }
       ClearWaits(txn);
       grant();
       probe_sireads_after_grant();
@@ -260,11 +260,6 @@ bool LockManager::Holds(TxnId txn, const LockKey& key, LockMode mode) const {
   return (holder_it->second & static_cast<uint8_t>(mode)) != 0;
 }
 
-void LockManager::SetWaits(TxnId txn, const std::vector<TxnId>& blockers) {
-  std::lock_guard<std::mutex> guard(graph_mu_);
-  waits_for_[txn] = blockers;
-}
-
 void LockManager::ClearWaits(TxnId txn) {
   std::lock_guard<std::mutex> guard(graph_mu_);
   waits_for_.erase(txn);
@@ -321,19 +316,25 @@ void LockManager::KillCyclesLocked() {
 }
 
 void LockManager::DetectorLoop() {
-  while (!stop_.load()) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.deadlock_scan_interval_ms));
-    bool found;
-    {
-      std::lock_guard<std::mutex> guard(graph_mu_);
-      const size_t before = killed_.size();
-      KillCyclesLocked();
-      found = killed_.size() > before;
+  const auto interval =
+      std::chrono::milliseconds(config_.deadlock_scan_interval_ms);
+  std::unique_lock<std::mutex> guard(graph_mu_);
+  // The scan interval is the modelled detector period (§6.1.3); stop_
+  // ends the wait at once, so closing an engine never waits one out.
+  while (!stop_cv_.wait_for(guard, interval, [this] { return stop_; })) {
+    const size_t before = killed_.size();
+    KillCyclesLocked();
+    if (killed_.size() == before) continue;
+    // Wake the victims (header: deadlock-victim wake). Each shard's mutex
+    // is taken with an empty critical section before its notify, so a
+    // waiter between its killed_ check and its cv wait cannot miss it.
+    // graph_mu_ is released first: waiters take shard.mu before it.
+    guard.unlock();
+    for (Shard& shard : shards_) {
+      { std::lock_guard<std::mutex> shard_guard(shard.mu); }
+      shard.cv.notify_all();
     }
-    if (found) {
-      for (Shard& shard : shards_) shard.cv.notify_all();
-    }
+    guard.lock();
   }
 }
 

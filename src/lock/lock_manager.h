@@ -48,6 +48,24 @@
 // DFS before each block (requester aborts on a cycle); kPeriodic models
 // Berkeley DB's db_perf detector: a background thread scans every interval
 // and kills the youngest transaction of each cycle (§6.1.3).
+//
+// Waking without a tick: a blocked Acquire waits on its key's shard
+// condvar until the lock-timeout deadline and nothing else. It holds
+// shard.mu from its checks — blockers (under shard.mu) and killed_ (under
+// graph_mu_, nested inside shard.mu) — until the wait atomically releases
+// it. Each wake source changes state first and then notifies only after
+// acquiring shard.mu:
+//   * release: ReleaseBlocking drops holders under shard.mu, then
+//     notifies;
+//   * deadlock victim: the detector inserts into killed_ under graph_mu_,
+//     releases it, then takes and drops each shard's mutex (an empty
+//     critical section) before notifying that shard.
+// If the notifier's shard.mu section comes first, the waiter's later
+// check sees the change (the mutex orders it after the state change);
+// otherwise the waiter is already inside the wait and the notify reaches
+// it. Either way no wakeup is lost, so a victim returns Deadlock promptly
+// and TimedOut means a real lock-timeout expiry
+// (LockManagerTest.PeriodicDeadlockDetectorBreaksCycle).
 
 #ifndef SSIDB_LOCK_LOCK_MANAGER_H_
 #define SSIDB_LOCK_LOCK_MANAGER_H_
@@ -157,12 +175,6 @@ class LockManager {
     return deadlocks_detected_.load(std::memory_order_relaxed);
   }
   uint64_t waits() const { return waits_.load(std::memory_order_relaxed); }
-  /// 2ms backstop timeouts after which the waiter found no blockers —
-  /// evidence of a release whose notify never woke it
-  /// (lock.backstop_progress).
-  uint64_t backstop_progress() const {
-    return backstop_progress_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct LockEntry {
@@ -221,8 +233,7 @@ class LockManager {
   void CollectExclusiveHolders(TxnId self, const LockKeyView& key,
                                RwConflicts* out) const;
 
-  /// Record/clear the waits-for edge set of a blocked transaction.
-  void SetWaits(TxnId txn, const std::vector<TxnId>& blockers);
+  /// Clear the waits-for edge set of a blocked transaction.
   void ClearWaits(TxnId txn);
 
   /// DFS from `start` through waits-for edges; true if `start` is on a
@@ -260,12 +271,14 @@ class LockManager {
 
   std::atomic<uint64_t> deadlocks_detected_{0};
   std::atomic<uint64_t> waits_{0};
-  std::atomic<uint64_t> backstop_progress_{0};
   /// Live blocking-table grants. Unsigned with an explicit
   /// decrement-not-below-zero contract (SubGrants).
   std::atomic<uint64_t> grant_count_{0};
 
-  std::atomic<bool> stop_{false};
+  /// Detector shutdown: set by the destructor under graph_mu_, which
+  /// stop_cv_ waits on.
+  bool stop_ = false;
+  std::condition_variable stop_cv_;
   std::thread detector_;
 };
 

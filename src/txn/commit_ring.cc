@@ -1,7 +1,6 @@
 #include "src/txn/commit_ring.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace ssidb {
 
@@ -35,7 +34,7 @@ void CommitRing::Publish(Timestamp ts) {
     // longer prove that older commit stamped. The oldest in-flight commit
     // always passes this test (see header), so the pipeline cannot wedge.
     const Timestamp reuse_floor = ts - n;
-    if (stable_.load(std::memory_order_acquire) < reuse_floor) {
+    if (stable_.load(std::memory_order_seq_cst) < reuse_floor) {
       full_stalls_.fetch_add(1, std::memory_order_relaxed);
       if (trace_ != nullptr) {
         trace_->Emit(obs::TraceEvent::kRingStall, /*txn=*/0, /*arg16=*/0,
@@ -46,9 +45,10 @@ void CommitRing::Publish(Timestamp ts) {
       WaitUntilCovered(reuse_floor, nullptr);
     }
   }
-  // Release: a scanner that reads this slot value acquires every version
-  // stamp (and shard max-commit-ts hint) performed before Publish.
-  slots_[ts & mask_].store(ts, std::memory_order_release);
+  // seq_cst, not just release: the coverage argument (header) orders this
+  // store against every other publisher's scan. A scanner that reads it
+  // also acquires every version stamp and shard hint made before Publish.
+  slots_[ts & mask_].store(ts, std::memory_order_seq_cst);
   Drive();
 }
 
@@ -56,25 +56,23 @@ void CommitRing::Drive() {
   // Completions drain into a local list and run only after the CAS loop
   // exhausts: callbacks see the watermark as far forward as this drive
   // could push it, and they run with no ring mutex held, so a completion
-  // may itself re-enter Drive (the acknowledgment backstop does).
+  // may itself submit commits and re-enter Drive through their Publish.
   std::vector<Completion> ready;
   for (;;) {
-    Timestamp s = stable_.load(std::memory_order_acquire);
+    Timestamp s = stable_.load(std::memory_order_seq_cst);
     // Collect the run of consecutively stamped slots, then advance the
     // watermark over the whole run with one CAS. Bounded by the in-flight
     // window (<= ring size).
     Timestamp end = s;
-    while (slots_[(end + 1) & mask_].load(std::memory_order_acquire) ==
+    while (slots_[(end + 1) & mask_].load(std::memory_order_seq_cst) ==
            end + 1) {
       ++end;
     }
     if (end == s) break;
-    if (stable_.compare_exchange_strong(s, end, std::memory_order_seq_cst,
-                                        std::memory_order_acquire)) {
+    if (stable_.compare_exchange_strong(s, end, std::memory_order_seq_cst)) {
       WakeCovered(s, end, &ready);
-      // A slot just past `end` may have been stamped while we scanned;
-      // loop to pick it up (otherwise its owner — who saw our CAS in
-      // flight — could be left waiting with no later driver).
+      // Rescan past `end`: the coverage argument (header) relies on the
+      // last successful CAS being followed by a load of the next slot.
       continue;
     }
     // Lost the CAS to a concurrent driver that advanced past s; rescan
@@ -173,42 +171,20 @@ void CommitRing::WaitUntilCovered(Timestamp ts,
                                   std::atomic<uint64_t>* park_counter) {
   if (stable_.load(std::memory_order_seq_cst) >= ts) return;
   WaiterShard& w = waiters_[ts & waiter_mask_];
-  // Count first (seq_cst), then re-check: see the missed-wakeup argument
-  // in the header.
+  // Count first (seq_cst), then re-check under the mutex: see the
+  // missed-wakeup argument in the header. The covering CAS is guaranteed
+  // to happen (coverage argument), so a plain wait is live.
   w.count.fetch_add(1, std::memory_order_seq_cst);
-  // Self-drive before parking. Release/acquire alone does not force a
-  // concurrent driver's scan to observe our just-published slot store; if
-  // that driver was the last one (we are the newest commit), no later
-  // Publish would ever rescan and we would park forever. Our own store is
-  // visible to our own scan by program order, so driving here closes the
-  // last-publisher case outright.
-  Drive();
-  if (stable_.load(std::memory_order_seq_cst) >= ts) {
-    w.count.fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  if (park_counter != nullptr) {
-    park_counter->fetch_add(1, std::memory_order_relaxed);
-  }
   {
     std::unique_lock<std::mutex> guard(w.mu);
-    for (;;) {
-      const bool covered =
-          w.cv.wait_for(guard, std::chrono::milliseconds(1), [&] {
-            return stable_.load(std::memory_order_seq_cst) >= ts;
-          });
-      if (covered) break;
-      // Timed out: re-drive as a visibility backstop (the abstract
-      // machine only promises stores become visible in *finite* time, so
-      // a bounded re-scan guarantees liveness no matter which driver's
-      // scan went stale). Never taken on the wakeup fast path.
-      guard.unlock();
-      Drive();
-      guard.lock();
-      if (stable_.load(std::memory_order_seq_cst) >= ts) {
-        backstop_progress_.fetch_add(1, std::memory_order_relaxed);
-        break;
+    const auto covered = [&] {
+      return stable_.load(std::memory_order_seq_cst) >= ts;
+    };
+    if (!covered()) {
+      if (park_counter != nullptr) {
+        park_counter->fetch_add(1, std::memory_order_relaxed);
       }
+      w.cv.wait(guard, covered);
     }
   }
   w.count.fetch_sub(1, std::memory_order_release);

@@ -33,17 +33,44 @@
 //     watermark advance from `s` to `e` wakes only the shards owning
 //     timestamps in (s, e] — waiters for uncovered timestamps stay asleep.
 //
-// Memory-ordering contract:
-//   * The slot store is a release; the scan loads acquire; the watermark
-//     CAS is seq_cst. A snapshot reader that observes `stable() >= ts`
-//     therefore observes every version stamp (and every storage-shard
-//     max-commit-ts hint) the owner of `ts` performed before Publish.
-//   * stable() loads are seq_cst: the checkpoint prune-floor protocol
-//     (TxnManager::BeginCheckpointSweep) depends on a single total order
-//     over watermark advances, floor publication and min-active
-//     publication — see the proof sketch there. seq_cst loads cost the
-//     same as acquire loads on x86 and the extra fence elsewhere is paid
-//     on begin/commit paths, never per read.
+// Memory-ordering contract: every slot store, every slot load of the
+// watermark scan, every stable_ load and the watermark CAS are seq_cst,
+// so a single total order S contains all of them.
+//   * A snapshot reader that observes `stable() >= ts` observes every
+//     version stamp (and every storage-shard max-commit-ts hint) the owner
+//     of `ts` performed before Publish: the slot store synchronizes with
+//     the scan load that reads it, which precedes the covering CAS.
+//   * The checkpoint prune-floor protocol (TxnManager::
+//     BeginCheckpointSweep) needs one total order over watermark
+//     advances, floor publication and min-active publication — see the
+//     proof sketch there.
+//   * Coverage (below) needs S over slot stores and scan loads too.
+//     Release/acquire would not do: publishers of adjacent timestamps can
+//     each scan before the other's store is visible (the store-buffer
+//     case) and both stop short with both slots stamped. On x86 the only
+//     cost is the slot store (one xchg per writing commit); loads are
+//     plain movs.
+//
+// Coverage: once the owners of 1..T have all returned from Publish,
+// stable() >= T — no later Publish, poll or external Drive is needed.
+// Suppose not, and let w < T be the final watermark (it only grows, by
+// successful CASes, so it has one). Let P own w+1 and X be P's slot
+// store; slot[w+1] is never overwritten, because its next occupant
+// w+1+N parks until stable() >= w+1. If some CAS succeeded, let C be the
+// last one (to w). Drive rescans after every successful CAS, so C's
+// thread then loads slot[w+1]; it must have read it unstamped (or it
+// would CAS again), so that load precedes X in S. P's Drive runs after X
+// by program order, hence after C's CAS: its final iteration reads
+// stable_ == w (w is final) and then slot[w+1] == w+1 (the last store to
+// it in S), so it cannot stop there and P CASes past w — contradiction.
+// With no successful CAS at all, P's final iteration reads the initial
+// watermark and the same step applies.
+// Ring-full parks keep this live: the oldest unpublished timestamp o has
+// every timestamp below it published, so by the claim stable() reaches
+// o-1 >= o-N and o's park ends; induction on o publishes every
+// allocated timestamp. Hence every waiter and every completion for an
+// allocated timestamp is released by a covering CAS, which the two
+// protocols below turn into a wakeup or a drain.
 //
 // Missed-wakeup freedom (waiter vs driver): the waiter increments its
 // shard's count (seq_cst) and only then checks the watermark; the driver
@@ -52,6 +79,7 @@
 // increment before the driver's CAS, so the driver's count read sees it
 // and the driver notifies — taking the shard mutex first, so the notify
 // cannot slip between the waiter's final predicate check and its sleep.
+// Waits are therefore plain condition-variable waits.
 //
 // Completions (asynchronous acknowledgment): the waiter registry doubles
 // as a completion registry — OnCovered(ts, fn) parks {ts, fn} on the
@@ -64,13 +92,7 @@
 // drain ran before the insert was visible, the registrant's re-check is
 // ordered after the CAS in the seq_cst total order, sees coverage, and
 // drains its own shard. Removal happens under the shard mutex, so every
-// completion runs exactly once no matter how many drains race. Liveness
-// matches the blocking path's caveat: coverage itself may require a
-// re-drive if every committer goes idle with a stale scan (the abstract
-// machine only promises finite-time visibility) — blocking waiters
-// re-drive on a 1ms tick; pure-async hosts get the same backstop from
-// Drive() being public (TxnManager::DriveCommitPipeline) plus a re-drive
-// after every acknowledgment.
+// completion runs exactly once no matter how many drains race.
 
 #ifndef SSIDB_TXN_COMMIT_RING_H_
 #define SSIDB_TXN_COMMIT_RING_H_
@@ -111,8 +133,8 @@ class CommitRing {
   void Publish(Timestamp ts);
 
   /// Block until the watermark covers `ts`. Fast path is one load; the
-  /// slow path self-drives before parking (see WaitUntilCovered) and
-  /// counts the park in waits_parked().
+  /// slow path is a plain condvar wait (coverage argument in the file
+  /// header) and counts the park in waits_parked().
   void WaitCovered(Timestamp ts);
 
   /// Coverage completion: runs exactly once, after `stable() >= ts`. Fires
@@ -128,10 +150,8 @@ class CommitRing {
 
   /// Advance the watermark over consecutive stamped slots, wake newly
   /// covered waiter shards and drain newly covered completions. Lock-free
-  /// scan; any thread may call. Public as the visibility backstop for
-  /// hosts with no blocking waiter left to re-drive (an async client
-  /// draining its last in-flight acknowledgments calls this on a timeout
-  /// tick, exactly as WaitUntilCovered does internally).
+  /// scan; any thread may call. Publish runs it; by the coverage argument
+  /// in the file header no other caller is ever needed for liveness.
   void Drive();
 
   /// The snapshot watermark: every commit with commit_ts <= stable() has
@@ -173,12 +193,6 @@ class CommitRing {
   uint64_t max_depth() const {
     return max_depth_.load(std::memory_order_relaxed);
   }
-  /// 1ms backstop timeouts whose re-drive then covered the waiter —
-  /// evidence of a wakeup the notify path missed (half of
-  /// commit.backstop_progress; TxnManager counts the other).
-  uint64_t backstop_progress() const {
-    return backstop_progress_.load(std::memory_order_relaxed);
-  }
 
   /// Hook the trace ring: ring-full stalls emit kRingStall events
   /// (payload = reuse floor, arg32 = ring size). Set once at DB::Open,
@@ -202,11 +216,7 @@ class CommitRing {
   void DrainShard(WaiterShard* w);
   /// WaitCovered body. `park_counter` (may be null) is bumped once if the
   /// wait actually parks — commit-ack waits and ring-full backpressure
-  /// keep separate books. Self-drives before parking and re-drives on a
-  /// 1ms backstop tick while parked: release/acquire does not force a
-  /// concurrent driver's scan to observe the newest slot store, so the
-  /// newest committer must be able to finish the scan itself rather than
-  /// depend on a later Publish that may never come.
+  /// keep separate books.
   void WaitUntilCovered(Timestamp ts, std::atomic<uint64_t>* park_counter);
 
   /// One registered completion, homed on the shard keyed by its ts.
@@ -246,7 +256,6 @@ class CommitRing {
   std::atomic<uint64_t> wakeups_issued_{0};
   std::atomic<uint64_t> full_stalls_{0};
   std::atomic<uint64_t> max_depth_{0};
-  std::atomic<uint64_t> backstop_progress_{0};
   obs::TraceRing* trace_ = nullptr;
 };
 

@@ -110,7 +110,7 @@ class LogManager {
   /// flush subscription with the sticky I/O status. Idempotent; the
   /// destructor calls it. TxnManager's destructor quiesces the log first
   /// so no flusher-thread callback (flush subscription -> FinalizeAcked ->
-  /// ring drive) can run concurrently with its teardown — the flusher
+  /// suspended cleanup) can run concurrently with its teardown — the flusher
   /// outlives the TxnManager in every owner (DB members, test fixtures)
   /// because the log must be constructed first.
   void Quiesce();

@@ -36,8 +36,8 @@ TxnManager::TxnManager(const DBOptions& options, LockManager* lock_manager,
 
 TxnManager::~TxnManager() {
   // Join the group-commit flusher before any member is torn down: a flush
-  // subscription registered by FinalizeCovered runs FinalizeAcked (ring
-  // drive, suspended cleanup) on the flusher thread, and that tail can
+  // subscription registered by FinalizeCovered runs FinalizeAcked
+  // (suspended cleanup) on the flusher thread, and that tail can
   // still be running after the client's `done` callback already fired.
   if (log_manager_ != nullptr) log_manager_->Quiesce();
 }
@@ -64,10 +64,6 @@ void TxnManager::RegisterMetrics(obs::MetricsRegistry* registry,
                             [this] { return ring_.full_stalls(); });
   registry->RegisterGauge("commit.max_window_depth",
                           [this] { return ring_.max_depth(); });
-  registry->RegisterCounter("commit.backstop_progress", [this] {
-    return ring_.backstop_progress() +
-           ack_backstop_progress_.load(std::memory_order_relaxed);
-  });
   registry->RegisterCounter("commit.combine_batches",
                             [this] { return combiner_.combine_batches(); });
   registry->RegisterCounter("commit.combined_txns",
@@ -278,34 +274,15 @@ Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
     w.cv.notify_one();
   });
   if (w.done_inline) return w.status;
-  // Not acknowledged inline: self-drive once before parking, exactly as
-  // the ring's own WaitUntilCovered does — our slot store is visible to
-  // our own scan by program order, which closes the last-publisher case,
-  // and when this Drive drains our completion the whole finalize chain
-  // (including the ack callback's same-thread branch) runs right here,
-  // lock free. Completions drain exactly once, so the inline and
-  // cross-thread branches are mutually exclusive per commit.
-  ring_.Drive();
-  if (w.done_inline) return w.status;
+  // Not acknowledged inline: the completion is registered and will fire
+  // exactly once on another thread — the driver whose CAS covers us
+  // (commit_ring.h proves that CAS happens without help from this
+  // thread), or the group-commit flusher. This thread drives nothing from
+  // here on, so `done` under w.mu is the only flag left to wait for.
   std::unique_lock<std::mutex> guard(w.mu);
   if (!w.done) {
     ack_parks_.fetch_add(1, std::memory_order_relaxed);
-    while (!w.cv.wait_for(guard, std::chrono::milliseconds(1),
-                          [&] { return w.done; })) {
-      // Timed out: re-drive as a visibility backstop, exactly as the
-      // ring's blocking waiters do (WaitUntilCovered) — with this thread
-      // parked here instead of inside the ring, it must not depend on a
-      // later Publish rescanning on its behalf. That drive may run our
-      // own completion on THIS thread, which acknowledges through
-      // done_inline rather than done, so check both flags.
-      guard.unlock();
-      ring_.Drive();
-      if (w.done_inline) {
-        ack_backstop_progress_.fetch_add(1, std::memory_order_relaxed);
-        return w.status;
-      }
-      guard.lock();
-    }
+    w.cv.wait(guard, [&] { return w.done; });
   }
   return w.status;
 }
@@ -471,21 +448,14 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
     stamp_publish_ns_.Record(now - t_stage);
     acs.t_publish = now;
   }
-  if (!options_.log.flush_on_commit) {
-    // Self-drive once after publishing: in steady state our own Drive
-    // advances stable past our ts (our slot store is visible to our own
-    // scan by program order), making the inline finalize below the common
-    // case. Other commits' completions drained by this Drive run their
-    // finalize chains here, exactly as on any driver thread.
-    if (ring_.stable() < commit_ts) ring_.Drive();
-    if (ring_.stable() >= commit_ts) {
-      // Covered, and the flush ack is unconditional in this regime: the
-      // whole finalize chain runs inline on this stack frame — no
-      // completion registration, no heap. Exactly-once holds trivially
-      // (the record was never handed to the ring).
-      FinalizeCoveredStep(&acs);
-      return;
-    }
+  if (!options_.log.flush_on_commit && ring_.stable() >= commit_ts) {
+    // Publish's own Drive covered us (the steady state: our slot store is
+    // visible to our own scan), and the flush ack is unconditional in this
+    // regime: the whole finalize chain runs inline on this stack frame —
+    // no completion registration, no heap. Exactly-once holds trivially
+    // (the record was never handed to the ring).
+    FinalizeCoveredStep(&acs);
+    return;
   }
   AsyncCommit* ac = new AsyncCommit(std::move(acs));
   ac->heap = true;
@@ -575,18 +545,6 @@ void TxnManager::FinalizeAcked(AsyncCommit* ac, Status flush_status) {
   ac = nullptr;
   done(flush_status);
   CleanupSuspended();
-  // Re-drive the pipeline after each acknowledgment: in the durable
-  // regime acks fire on the group-commit flusher thread, which thereby
-  // becomes a periodic driver for completions whose covering advance went
-  // stale — the pure-async analogue of the blocking waiters' 1ms re-drive
-  // backstop. Guarded against unbounded recursion (a drive can run a
-  // completion whose inline-satisfied flush subscription re-enters here).
-  static thread_local bool driving = false;
-  if (!driving) {
-    driving = true;
-    ring_.Drive();
-    driving = false;
-  }
 }
 
 void TxnManager::ReleaseCommitLocks(TxnState* txn) {

@@ -113,7 +113,7 @@
 // min-active publication once the watermark covers the commit
 // (FinalizeCovered), then a LogManager flush subscription whose firing
 // releases locks, records the ack histograms, runs the client callback
-// and re-drives the pipeline (FinalizeAcked). The WAL append deliberately
+// and cleans up suspended state (FinalizeAcked). The WAL append deliberately
 // moves BEFORE ring publication: records reach the group-commit flusher at
 // submit, so a deep async pipeline batches into one fsync instead of one
 // per blocked thread. That ordering is admissible because WAL durability
@@ -124,8 +124,10 @@
 // (below) because it stays strictly after coverage in FinalizeAcked; the
 // early_lock_release knob moves it to FinalizeCovered (after coverage,
 // before the flush — InnoDB's original §4.4 ordering). Blocking Commit()
-// is a thin wrapper: submit + park until `done`, with a 1ms re-drive
-// backstop mirroring the ring's blocking waiters.
+// is a thin wrapper: submit + a plain wait until `done`. Liveness needs no
+// re-drive anywhere: the publisher's own Drive covers every published
+// timestamp (commit_ring.h), the covering CAS drains the completion, and
+// the group-commit flusher fires every flush subscription.
 
 #ifndef SSIDB_TXN_TXN_MANAGER_H_
 #define SSIDB_TXN_TXN_MANAGER_H_
@@ -157,7 +159,7 @@ class TxnManager {
 
   /// Quiesces the log's group-commit flusher before teardown: an
   /// acknowledged async commit's pipeline tail (flush subscription ->
-  /// FinalizeAcked -> cleanup + ring re-drive) runs on the flusher thread
+  /// FinalizeAcked -> suspended cleanup) runs on the flusher thread
   /// and may still be touching this object after the client saw its
   /// `done` fire — the destructor must not race it.
   ~TxnManager();
@@ -322,12 +324,10 @@ class TxnManager {
     return commits_inflight_.load(std::memory_order_relaxed);
   }
 
-  /// One watermark-drive + completion-drain pass. The acknowledgment
-  /// backstop for purely asynchronous clients: a host whose commit
-  /// threads all went idle after submitting (nobody left inside Publish
-  /// or a blocking wait to rescan the ring) calls this on its timeout
-  /// tick while draining, exactly as the ring's blocking waiters re-drive
-  /// internally. Cheap when there is nothing to do.
+  /// One watermark-drive + completion-drain pass. Optional; never needed
+  /// for liveness: every Publish drives the ring itself, and that covers
+  /// every published timestamp (commit_ring.h). Cheap when there is
+  /// nothing to do.
   void DriveCommitPipeline() { ring_.Drive(); }
 
   /// Aborts whose TxnState carried this taxonomy class (abort_reason.h).
@@ -452,8 +452,7 @@ class TxnManager {
   /// commits arriving from the ring's completion registry.
   void FinalizeCovered(AsyncCommit* ac);
   /// Finalize, second half — the acknowledgment: stage/ack histograms,
-  /// the client callback, cleanup, and a pipeline re-drive. Frees heap
-  /// instances.
+  /// the client callback, then suspended cleanup. Frees heap instances.
   void FinalizeAcked(AsyncCommit* ac, Status flush_status);
   /// Post-commit lock release: SSI keeps SIREAD locks (Fig 3.2 line 9).
   void ReleaseCommitLocks(TxnState* txn);
@@ -490,9 +489,6 @@ class TxnManager {
   std::atomic<uint64_t> commits_inflight_{0};
   /// Blocking Commit() wrappers that parked on their completion.
   std::atomic<uint64_t> ack_parks_{0};
-  /// Those parks' 1ms backstop timeouts whose re-drive acknowledged the
-  /// commit (half of commit.backstop_progress; the ring counts the other).
-  std::atomic<uint64_t> ack_backstop_progress_{0};
 
   // --- Observability (src/obs). Stage timing is sampled 1-in-N per
   // thread (DBOptions::metrics_sample_period); a sampled commit records

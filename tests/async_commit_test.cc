@@ -74,30 +74,34 @@ TEST(CommitRingCompletionTest, CompletionSeesTheCoveringWatermark) {
 TEST(CommitRingCompletionTest, ConcurrentRegistrationNeverLosesACompletion) {
   // Threads allocate, publish, and register a completion for their own
   // timestamp — racing the concurrent drivers that may cover it before,
-  // during, or after registration. Exactly one fire per registration.
-  CommitRing ring(8);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-  std::atomic<uint64_t> fired{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const Timestamp ts = ring.Allocate();
-        ring.Publish(ts);
-        ring.OnCovered(ts, [&] { fired.fetch_add(1); });
-      }
-    });
+  // during, or after registration. Exactly one fire per registration, and
+  // nobody calls Drive() beyond Publish's own: the coverage argument in
+  // commit_ring.h says the publishers' drives cover every timestamp and
+  // the registration re-check drains whatever a covering drive missed.
+  // The 2-slot ring adds ring-full parks and constant wrap-around.
+  for (const uint64_t slots : {uint64_t{8}, uint64_t{2}}) {
+    SCOPED_TRACE(slots);
+    CommitRing ring(slots);
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 2000;
+    std::atomic<uint64_t> fired{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kThreads; ++w) {
+      workers.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < kPerThread; ++i) {
+          const Timestamp ts = ring.Allocate();
+          ring.Publish(ts);
+          ring.OnCovered(ts, [&] { fired.fetch_add(1); });
+        }
+      });
+    }
+    go.store(true);
+    for (auto& t : workers) t.join();
+    EXPECT_EQ(fired.load(), uint64_t{kThreads} * kPerThread);
+    EXPECT_EQ(ring.stable(), ring.clock());
   }
-  for (auto& t : workers) t.join();
-  // A registration whose covering advance raced it drains itself; anything
-  // left would need a later driver, and there is none — so all must have
-  // fired by quiescence... except completions parked for a timestamp whose
-  // covering Drive already took its shard snapshot. Those are exactly what
-  // the re-check protocol exists for; assert it worked.
-  ring.Drive();
-  EXPECT_EQ(fired.load(), uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(ring.stable(), ring.clock());
 }
 
 // ---------------------------------------------------------------------------
@@ -184,8 +188,8 @@ class AsyncCommitTest : public ::testing::Test {
     chains_.push_back(std::move(chain));
   }
 
-  /// Parked acknowledgment: Wait() re-drives the pipeline on a 1ms tick,
-  /// exactly as the blocking wrapper does.
+  /// Parked acknowledgment: a plain wait, exactly as the blocking
+  /// wrapper does.
   struct Ack {
     std::mutex mu;
     std::condition_variable cv;
@@ -201,14 +205,9 @@ class AsyncCommitTest : public ::testing::Test {
         cv.notify_all();
       };
     }
-    Status Wait(TxnManager* mgr) {
+    Status Wait() {
       std::unique_lock<std::mutex> guard(mu);
-      while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                          [&] { return done; })) {
-        guard.unlock();
-        mgr->DriveCommitPipeline();
-        guard.lock();
-      }
+      cv.wait(guard, [&] { return done; });
       return status;
     }
   };
@@ -226,7 +225,7 @@ TEST_F(AsyncCommitTest, WritingCommitAcknowledgesCoveredAndStamped) {
   AttachWrite(t);
   Ack ack;
   mgr_.CommitAsync(t, nullptr, {}, ack.Cb());
-  ASSERT_TRUE(ack.Wait(&mgr_).ok());
+  ASSERT_TRUE(ack.Wait().ok());
   EXPECT_EQ(t->status.load(), TxnStatus::kCommitted);
   EXPECT_GT(t->commit_ts.load(), 0u);
   // The acknowledgment ordering guarantee: done fired only after the
@@ -385,12 +384,7 @@ TEST_F(AsyncCommitTest, ManyInFlightDrainThroughTheFlusher) {
   EXPECT_GT(peak_inflight, 0u);  // Genuinely pipelined.
   {
     std::unique_lock<std::mutex> guard(mu);
-    while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                        [&] { return acked.load() == kBurst; })) {
-      guard.unlock();
-      mgr.DriveCommitPipeline();
-      guard.lock();
-    }
+    cv.wait(guard, [&] { return acked.load() == kBurst; });
   }
   EXPECT_EQ(mgr.commits_inflight(), 0u);
   EXPECT_EQ(mgr.stable_ts(), mgr.clock_now());
@@ -429,12 +423,7 @@ TEST(SessionAsyncCommitTest, AckedWriteIsVisibleAndDurablyOrdered) {
   }
   {
     std::unique_lock<std::mutex> guard(mu);
-    while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                        [&] { return acked.load() == kN; })) {
-      guard.unlock();
-      db->txn_manager()->DriveCommitPipeline();
-      guard.lock();
-    }
+    cv.wait(guard, [&] { return acked.load() == kN; });
   }
   EXPECT_EQ(session->open_transactions(), 0u);
   // Every acknowledged write is visible to a fresh snapshot.

@@ -267,13 +267,15 @@ TEST(LockManagerTest, ImmediateDeadlockDetection) {
 }
 
 TEST(LockManagerTest, PeriodicDeadlockDetectorBreaksCycle) {
+  // Many two-transaction cycles against a fast detector, with a lock
+  // timeout far above the scan interval: the victim must be woken by the
+  // detector's notify (lock_manager.h, deadlock-victim wake), so it always
+  // sees Deadlock and never sits out the timeout to return TimedOut.
   LockManager::Config cfg;
   cfg.deadlock_policy = DeadlockPolicy::kPeriodic;
-  cfg.deadlock_scan_interval_ms = 20;
-  cfg.lock_timeout_ms = 3000;
+  cfg.deadlock_scan_interval_ms = 1;
+  cfg.lock_timeout_ms = 60000;
   LockManager lm(cfg);
-  ASSERT_TRUE(lm.Acquire(1, Row("a"), LockMode::kExclusive).status.ok());
-  ASSERT_TRUE(lm.Acquire(2, Row("b"), LockMode::kExclusive).status.ok());
 
   // Each client aborts (releases everything) when chosen as the victim, as
   // a real transaction would, unblocking the survivor.
@@ -282,17 +284,36 @@ TEST(LockManagerTest, PeriodicDeadlockDetectorBreaksCycle) {
     if (!s.ok()) lm.ReleaseAll(id);
     return s;
   };
-  auto f1 = std::async(std::launch::async, run, 1, Row("b"));
-  auto f2 = std::async(std::launch::async, run, 2, Row("a"));
-  Status s1 = f1.get();
-  Status s2 = f2.get();
-  // Exactly one of the two is the victim; the other acquires and finishes.
-  EXPECT_NE(s1.IsDeadlock(), s2.IsDeadlock())
-      << "s1=" << s1.ToString() << " s2=" << s2.ToString();
-  EXPECT_TRUE(s1.ok() || s2.ok());
-  EXPECT_GE(lm.deadlocks_detected(), 1u);
-  lm.ReleaseAll(1);
-  lm.ReleaseAll(2);
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kCycles; ++i) {
+    const TxnId older = 2 * i + 1;
+    const TxnId younger = 2 * i + 2;
+    ASSERT_TRUE(lm.Acquire(older, Row("a"), LockMode::kExclusive).status.ok());
+    ASSERT_TRUE(
+        lm.Acquire(younger, Row("b"), LockMode::kExclusive).status.ok());
+    auto f1 = std::async(std::launch::async, run, older, Row("b"));
+    auto f2 = std::async(std::launch::async, run, younger, Row("a"));
+    const Status s1 = f1.get();
+    const Status s2 = f2.get();
+    // The detector kills the youngest member of the cycle; the survivor
+    // acquires once the victim releases.
+    ASSERT_TRUE(s1.ok()) << "cycle " << i << ": " << s1.ToString();
+    ASSERT_TRUE(s2.IsDeadlock()) << "cycle " << i << ": " << s2.ToString();
+    lm.ReleaseAll(older);
+    lm.ReleaseAll(younger);
+  }
+  EXPECT_GE(lm.deadlocks_detected(), uint64_t{kCycles});
+  EXPECT_EQ(lm.GrantCount(), 0u);
+}
+
+TEST(LockManagerTest, PeriodicDetectorStopsPromptly) {
+  // Destruction wakes the detector instead of waiting out its interval.
+  LockManager::Config cfg;
+  cfg.deadlock_policy = DeadlockPolicy::kPeriodic;
+  cfg.deadlock_scan_interval_ms = 10000;
+  const auto start = std::chrono::steady_clock::now();
+  { LockManager lm(cfg); }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(LockManagerTest, WaitCounterIncrements) {

@@ -401,9 +401,9 @@ TEST(EngineMetricsTest, DefaultPeriodSamplesBothReadsAndCommits) {
 TEST(EngineMetricsTest, NamesAreUniqueAndCoverEveryEngineMetric) {
   std::vector<std::string> counters = {
       "ssi.unsafe_aborts", "lock.waits", "lock.deadlocks",
-      "lock.backstop_progress", "log.records", "log.flush_batches",
+      "log.records", "log.flush_batches",
       "commit.waits", "commit.wakeups", "commit.ring_full_stalls",
-      "commit.backstop_progress", "commit.combine_batches",
+      "commit.combine_batches",
       "commit.combined_txns", "commit.fastpath", "ckpt.taken",
       "ckpt.bytes_written", "wal.segments_deleted", "gc.versions_pruned",
       "io.errors.wal", "io.errors.checkpoint"};
