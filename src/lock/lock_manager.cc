@@ -139,6 +139,9 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
         static_cast<uint64_t>(__builtin_popcount(bits) -
                               __builtin_popcount(before)),
         std::memory_order_relaxed);
+    // A new holder can be a new blocker of a parked waiter (header: grant
+    // wake); wake them to rewrite their waits-for edges.
+    if (bits != before && shard.parked > 0) shard.cv.notify_all();
   };
 
   // On success, gather the rw-antidependency evidence for a writer: the
@@ -184,10 +187,14 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
       }
     }
     // shard.mu has been held since the blockers and killed_ checks above,
-    // and both wake sources — a release, a periodic kill — notify only
-    // after an acquire/release of shard.mu (header), so the wait ends on
-    // the wakeup or on the lock-timeout deadline, never on a tick.
-    if (shard.cv.wait_until(guard, deadline) == std::cv_status::timeout) {
+    // and every wake source — a release, a grant, a periodic kill —
+    // notifies only after an acquire/release of shard.mu (header), so the
+    // wait ends on the wakeup or on the lock-timeout deadline, never on a
+    // tick.
+    ++shard.parked;
+    const std::cv_status woke = shard.cv.wait_until(guard, deadline);
+    --shard.parked;
+    if (woke == std::cv_status::timeout) {
       ClearWaits(txn);
       result.status = Status::TimedOut("lock wait timeout");
       return result;
@@ -309,9 +316,12 @@ void LockManager::KillCyclesLocked() {
         }
       }
     }
-    killed_.insert(victim);
     already_killed.insert(victim);
-    deadlocks_detected_.fetch_add(1, std::memory_order_relaxed);
+    // Other members of the cycle re-pick the same victim, in this scan or
+    // in a later one before the victim wakes: count each kill once.
+    if (killed_.insert(victim).second) {
+      deadlocks_detected_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 

@@ -57,6 +57,11 @@
 // acquiring shard.mu:
 //   * release: ReleaseBlocking drops holders under shard.mu, then
 //     notifies;
+//   * grant: a grant that adds a holder or a mode to an entry while
+//     waiters are parked on the shard (Shard::parked) notifies under
+//     shard.mu. A grant is the only event that grows a waiter's blocker
+//     set, so every parked waiter wakes, re-collects its blockers and
+//     rewrites its waits-for edges;
 //   * deadlock victim: the detector inserts into killed_ under graph_mu_,
 //     releases it, then takes and drops each shard's mutex (an empty
 //     critical section) before notifying that shard.
@@ -66,6 +71,13 @@
 // it. Either way no wakeup is lost, so a victim returns Deadlock promptly
 // and TimedOut means a real lock-timeout expiry
 // (LockManagerTest.PeriodicDeadlockDetectorBreaksCycle).
+//
+// Edges stay current: a cycle closes when its last edge is written, by a
+// waiter parking or by one refreshing after a grant wake. Edge writes are
+// serialized by graph_mu_, and kImmediate checks for a cycle after each
+// one, so the last writer sees the whole cycle; kPeriodic's next scan
+// sees it too. Neither has to wait for a blocker to release or for the
+// lock timeout (LockManagerTest.GrantToWaitedKeyRefreshesWaitsFor).
 
 #ifndef SSIDB_LOCK_LOCK_MANAGER_H_
 #define SSIDB_LOCK_LOCK_MANAGER_H_
@@ -189,6 +201,8 @@ class LockManager {
     std::unordered_map<LockKey, LockEntry, LockKeyHash, LockKeyEq> entries;
     /// Per-transaction list of keys with at least one grant in this shard.
     std::unordered_map<TxnId, std::vector<LockKey>> held;
+    /// Acquires parked in cv.wait; a grant wakes them only when nonzero.
+    size_t parked = 0;
   };
 
   /// Striped registry of which shards a transaction has (possibly)

@@ -396,8 +396,10 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
     // slot is published: once the stable watermark covers commit_ts, an
     // incremental checkpoint sweeping at that watermark must find the
     // hint raised, or it would skip the shard and lose the write from
-    // the delta image. The slot store is a release and the watermark
-    // scan acquires it, so coverage implies hint visibility.
+    // the delta image. The slot store and the watermark scan's loads are
+    // seq_cst (commit_ring.h, memory-ordering contract), so the scan
+    // that covers commit_ts synchronizes with the slot store and
+    // coverage implies hint visibility.
     if (w.table_ref != nullptr) {
       w.table_ref->NoteCommit(w.key, commit_ts);
     }

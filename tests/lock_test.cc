@@ -302,8 +302,56 @@ TEST(LockManagerTest, PeriodicDeadlockDetectorBreaksCycle) {
     lm.ReleaseAll(older);
     lm.ReleaseAll(younger);
   }
-  EXPECT_GE(lm.deadlocks_detected(), uint64_t{kCycles});
+  EXPECT_EQ(lm.deadlocks_detected(), uint64_t{kCycles});
   EXPECT_EQ(lm.GrantCount(), 0u);
+}
+
+TEST(LockManagerTest, GrantToWaitedKeyRefreshesWaitsFor) {
+  // A waiter's blocker set grows, without any release, when another
+  // shared holder joins the key it waits on. The grant must wake it to
+  // rewrite its waits-for edges, or the cycle that the new holder then
+  // closes is invisible to both detectors until the lock timeout.
+  // H1 holds S on k and never releases during the check; A holds X on r
+  // and waits for X on k; H3 joins k in S and requests X on r.
+  for (const DeadlockPolicy policy :
+       {DeadlockPolicy::kImmediate, DeadlockPolicy::kPeriodic}) {
+    SCOPED_TRACE(policy == DeadlockPolicy::kImmediate ? "immediate"
+                                                      : "periodic");
+    LockManager::Config cfg;
+    cfg.deadlock_policy = policy;
+    cfg.deadlock_scan_interval_ms = 1;
+    cfg.lock_timeout_ms = 10000;
+    LockManager lm(cfg);
+    constexpr TxnId kH1 = 1, kA = 2, kH3 = 3;
+    auto run = [&lm](TxnId id, const LockKey& key) {
+      Status s = lm.Acquire(id, key, LockMode::kExclusive).status;
+      if (!s.ok()) lm.ReleaseAll(id);
+      return s;
+    };
+    ASSERT_TRUE(lm.Acquire(kH1, Row("k"), LockMode::kShared).status.ok());
+    ASSERT_TRUE(lm.Acquire(kA, Row("r"), LockMode::kExclusive).status.ok());
+    auto a = std::async(std::launch::async, run, kA, Row("k"));
+    // A holds k's shard mutex from its wait count until it parks, so the
+    // grant below lands while A is parked.
+    while (lm.waits() == 0) std::this_thread::yield();
+    ASSERT_TRUE(lm.Acquire(kH3, Row("k"), LockMode::kShared).status.ok());
+    auto h3 = std::async(std::launch::async, run, kH3, Row("r"));
+    // One of A and H3 is the victim. Either way H3 returns while H1 still
+    // holds k: with Deadlock, or with r once victim A released it.
+    ASSERT_EQ(h3.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "cycle A <-> H3 not detected";
+    const Status s_h3 = h3.get();
+    lm.ReleaseAll(kH1);
+    const Status s_a = a.get();
+    EXPECT_NE(s_a.IsDeadlock(), s_h3.IsDeadlock())
+        << "A: " << s_a.ToString() << ", H3: " << s_h3.ToString();
+    EXPECT_TRUE(s_a.ok() || s_a.IsDeadlock()) << s_a.ToString();
+    EXPECT_TRUE(s_h3.ok() || s_h3.IsDeadlock()) << s_h3.ToString();
+    EXPECT_EQ(lm.deadlocks_detected(), 1u);
+    lm.ReleaseAll(kA);
+    lm.ReleaseAll(kH3);
+    EXPECT_EQ(lm.GrantCount(), 0u);
+  }
 }
 
 TEST(LockManagerTest, PeriodicDetectorStopsPromptly) {
