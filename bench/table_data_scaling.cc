@@ -235,12 +235,14 @@ void PastRamReport() {
   printf("{\"name\":\"table_data_scaling_past_ram\",\"pool_bytes\":%zu,"
          "\"dataset_bytes\":%zu,\"keys\":%llu,\"fault_reads_per_s\":%.0f,"
          "\"hot_reads_per_s\":%.0f,\"hit_rate\":%.3f,\"peak_rss_bytes\":%zu,"
-         "\"spilled_chains\":%llu,\"faulted_chains\":%llu}\n",
+         "\"spilled_chains\":%llu,\"faulted_chains\":%llu,"
+         "\"lookup_probes\":%llu}\n",
          static_cast<size_t>(opts.buffer_pool_bytes), dataset_bytes,
          static_cast<unsigned long long>(keys), MedianOf(fault_rps),
          MedianOf(hot_rps), hit_rate, peak_rss,
          static_cast<unsigned long long>(m.Counter("tier.spilled_chains")),
-         static_cast<unsigned long long>(m.Counter("tier.faulted_chains")));
+         static_cast<unsigned long long>(m.Counter("tier.faulted_chains")),
+         static_cast<unsigned long long>(m.Counter("tier.lookup_probes")));
 
   db.reset();
   std::error_code ec;

@@ -73,6 +73,15 @@ bool GetLengthPrefixed(Slice s, size_t* offset, std::string* v) {
   return true;
 }
 
+bool GetLengthPrefixed(Slice s, size_t* offset, Slice* v) {
+  uint32_t len;
+  if (!GetBig32(s, offset, &len)) return false;
+  if (*offset + len > s.size()) return false;
+  *v = Slice(s.data() + *offset, len);
+  *offset += len;
+  return true;
+}
+
 std::string EncodeU64Key(uint64_t v) {
   std::string s;
   PutBig64(&s, v);

@@ -33,6 +33,8 @@ bool GetI64(Slice s, size_t* offset, int64_t* v);
 /// Append a length-prefixed string (32-bit length).
 void PutLengthPrefixed(std::string* dst, Slice v);
 bool GetLengthPrefixed(Slice s, size_t* offset, std::string* v);
+/// Same, but *v points into `s` instead of copying the bytes out.
+bool GetLengthPrefixed(Slice s, size_t* offset, Slice* v);
 
 /// Convenience: one-shot big-endian u64 key.
 std::string EncodeU64Key(uint64_t v);

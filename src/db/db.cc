@@ -176,6 +176,10 @@ void DB::RegisterAllMetrics() {
                        [tier] { return tier->spilled_chains(); });
     r->RegisterCounter("tier.faulted_chains",
                        [tier] { return tier->faulted_chains(); });
+    r->RegisterCounter("tier.compactions",
+                       [tier] { return tier->compactions(); });
+    r->RegisterCounter("tier.lookup_probes",
+                       [tier] { return tier->lookup_probes(); });
     r->RegisterCounter("io.errors.tier",
                        [tier] { return tier->io_errors(); });
   }

@@ -57,24 +57,52 @@ Status PwriteFull(io::Env* env, int fd, const void* buf, size_t n,
   return Status::OK();
 }
 
-uint64_t EntryEncodedBytes(const RunEntry& e) {
+uint64_t EntryEncodedBytes(const RunEntryView& e) {
   return 4 + e.key.size() + 8 + 1 + 4 + e.value.size();
 }
 
-void EncodeEntry(std::string* dst, const RunEntry& e) {
+void EncodeEntry(std::string* dst, const RunEntryView& e) {
   PutLengthPrefixed(dst, e.key);
   PutBig64(dst, e.commit_ts);
   dst->push_back(e.tombstone ? 1 : 0);
   PutLengthPrefixed(dst, e.value);
 }
 
-bool DecodeEntry(Slice page, size_t* offset, RunEntry* e) {
+/// Decode one entry in place: e's slices point into `page`.
+bool DecodeEntry(Slice page, size_t* offset, RunEntryView* e) {
   if (!GetLengthPrefixed(page, offset, &e->key)) return false;
   if (!GetBig64(page, offset, &e->commit_ts)) return false;
   if (*offset >= page.size()) return false;
   e->tombstone = page[*offset] != 0;
   ++*offset;
   return GetLengthPrefixed(page, offset, &e->value);
+}
+
+void StoreBig32(char* dst, uint32_t v) {
+  std::string be;
+  PutBig32(&be, v);
+  memcpy(dst, be.data(), 4);
+}
+
+/// Validate a data page's header and CRC. On success *body spans the
+/// header and payload (entries start at kPageHeaderLen) and *entry_count
+/// is the page's entry count.
+Status ParsePage(const char* page, uint32_t page_bytes, Slice* body,
+                 uint32_t* entry_count) {
+  const Slice raw(page, page_bytes);
+  size_t off = 0;
+  uint32_t stored_crc = 0, payload_bytes = 0, count = 0;
+  if (!GetBig32(raw, &off, &stored_crc) ||
+      !GetBig32(raw, &off, &payload_bytes) || !GetBig32(raw, &off, &count) ||
+      payload_bytes > page_bytes - kPageHeaderLen) {
+    return Status::Corruption("run page header damaged");
+  }
+  if (Crc32c(0, page + 4, 8 + payload_bytes) != stored_crc) {
+    return Status::Corruption("run page crc mismatch");
+  }
+  *body = Slice(page, kPageHeaderLen + payload_bytes);
+  *entry_count = count;
+  return Status::OK();
 }
 
 }  // namespace
@@ -103,11 +131,10 @@ RunFile::~RunFile() { pool_->Purge(file_->id()); }
 
 Status RunFile::Create(const std::string& path, uint32_t table_id,
                        uint64_t seq, uint64_t file_id, uint32_t page_bytes,
-                       const std::vector<RunEntry>& entries, BufferPool* pool,
+                       const RunEntrySource& source, BufferPool* pool,
                        bool fsync, std::shared_ptr<RunFile>* out,
                        io::Env* env) {
   env = io::ResolveEnv(env);
-  assert(!entries.empty());
   assert(pool->page_bytes() == page_bytes);
   const std::string tmp = path + ".tmp";
   const int fd = env->Open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -124,49 +151,49 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
   header.resize(page_bytes, '\0');
   Status st = PwriteFull(env, fd, header.data(), header.size(), 0);
 
-  // Data pages, through the pool: build each page's payload, frame it with
-  // its CRC, and hand the bytes to a dirty frame. FlushFile below performs
-  // the actual pwrites (the pool's writeback path — also exercised early
-  // by clock evictions when the pool is smaller than the run).
+  // Data pages, through the pool: fill `page` (header slot + payload) from
+  // the source, frame it with its CRC, and hand the bytes to a dirty
+  // frame. FlushFile below performs the actual pwrites (the pool's
+  // writeback path — also exercised early by clock evictions when the pool
+  // is smaller than the run).
   std::vector<std::string> fences;
-  std::string payload;
-  uint32_t entry_count_in_page = 0;
+  std::string page(kPageHeaderLen, '\0');
+  page.reserve(page_bytes);
+  uint32_t entries_in_page = 0;
+  uint64_t entry_count = 0;
   uint32_t page_no = 0;  // Data page index; file page is page_no + 1.
-  std::string first_key_in_page;
   auto emit_page = [&]() -> Status {
-    if (entry_count_in_page == 0) return Status::OK();
-    std::string framed;
-    framed.reserve(kPageHeaderLen + payload.size());
-    PutBig32(&framed, 0);  // CRC placeholder.
-    PutBig32(&framed, static_cast<uint32_t>(payload.size()));
-    PutBig32(&framed, entry_count_in_page);
-    framed += payload;
-    const uint32_t crc =
-        Crc32c(0, framed.data() + 4, framed.size() - 4);
-    std::string crc_be;
-    PutBig32(&crc_be, crc);
-    framed.replace(0, 4, crc_be);
+    if (entries_in_page == 0) return Status::OK();
+    StoreBig32(page.data() + 4,
+               static_cast<uint32_t>(page.size() - kPageHeaderLen));
+    StoreBig32(page.data() + 8, entries_in_page);
+    StoreBig32(page.data(), Crc32c(0, page.data() + 4, page.size() - 4));
     BufferPool::WritePin pin;
     Status s = pool->PinForWrite(file_id, page_no + 1, &pin);
     if (!s.ok()) return s;
-    memcpy(pin.data, framed.data(), framed.size());
+    memcpy(pin.data, page.data(), page.size());
     pool->Unpin(pin.frame);
-    fences.push_back(std::move(first_key_in_page));
     ++page_no;
-    payload.clear();
-    entry_count_in_page = 0;
+    page.resize(kPageHeaderLen);
+    entries_in_page = 0;
     return Status::OK();
   };
-  const uint64_t max_payload = page_bytes - kPageHeaderLen;
-  for (const RunEntry& e : entries) {
-    if (!st.ok()) break;
+  while (st.ok()) {
+    RunEntryView e;
+    bool done = false;
+    st = source(&e, &done);
+    if (!st.ok() || done) break;
     const uint64_t need = EntryEncodedBytes(e);
-    assert(need <= max_payload);  // StorageTier filters oversized entries.
-    if (payload.size() + need > max_payload) st = emit_page();
-    if (!st.ok()) break;
-    if (entry_count_in_page == 0) first_key_in_page = e.key;
-    EncodeEntry(&payload, e);
-    ++entry_count_in_page;
+    // StorageTier filters oversized entries.
+    assert(need <= MaxEntryBytes(page_bytes));
+    if (page.size() + need > page_bytes) {
+      st = emit_page();
+      if (!st.ok()) break;
+    }
+    if (entries_in_page == 0) fences.push_back(e.key.ToString());
+    EncodeEntry(&page, e);
+    ++entries_in_page;
+    ++entry_count;
   }
   if (st.ok()) st = emit_page();
   if (st.ok()) st = pool->FlushFile(file_id);
@@ -176,7 +203,7 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     std::string footer;
     footer.append(kIndexMagic, kMagicLen);
     PutBig32(&footer, page_no);
-    PutBig32(&footer, static_cast<uint32_t>(entries.size()));
+    PutBig32(&footer, static_cast<uint32_t>(entry_count));
     for (const std::string& f : fences) PutLengthPrefixed(&footer, f);
     PutBig32(&footer, Crc32c(0, footer.data(), footer.size()));
     const uint64_t footer_offset =
@@ -196,8 +223,7 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     }
     if (st.ok()) {
       out->reset(new RunFile(path, std::move(file), table_id, seq,
-                             page_bytes, page_no,
-                             static_cast<uint64_t>(entries.size()),
+                             page_bytes, page_no, entry_count,
                              std::move(fences), pool, env));
       return Status::OK();
     }
@@ -205,6 +231,25 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
   pool->Purge(file_id);
   env->RemoveFile(tmp);
   return st;
+}
+
+Status RunFile::Create(const std::string& path, uint32_t table_id,
+                       uint64_t seq, uint64_t file_id, uint32_t page_bytes,
+                       const std::vector<RunEntry>& entries, BufferPool* pool,
+                       bool fsync, std::shared_ptr<RunFile>* out,
+                       io::Env* env) {
+  assert(!entries.empty());
+  size_t next_index = 0;
+  const RunEntrySource source = [&](RunEntryView* next, bool* done) {
+    *done = next_index == entries.size();
+    if (!*done) {
+      const RunEntry& e = entries[next_index++];
+      *next = RunEntryView{e.key, e.value, e.commit_ts, e.tombstone};
+    }
+    return Status::OK();
+  };
+  return Create(path, table_id, seq, file_id, page_bytes, source, pool, fsync,
+                out, env);
 }
 
 Status RunFile::Open(const std::string& path, uint64_t file_id,
@@ -292,45 +337,10 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
   return Status::OK();
 }
 
-Status RunFile::SearchPage(const uint8_t* page, uint32_t page_bytes,
-                           const Slice* key, RunEntry* out, bool* found,
-                           const std::function<void(const RunEntry&)>& fn) {
-  const Slice raw(reinterpret_cast<const char*>(page), page_bytes);
-  size_t off = 0;
-  uint32_t stored_crc = 0, payload_bytes = 0, entry_count = 0;
-  if (!GetBig32(raw, &off, &stored_crc) ||
-      !GetBig32(raw, &off, &payload_bytes) ||
-      !GetBig32(raw, &off, &entry_count) ||
-      payload_bytes > page_bytes - kPageHeaderLen) {
-    return Status::Corruption("run page header damaged");
-  }
-  if (Crc32c(0, raw.data() + 4, 8 + payload_bytes) != stored_crc) {
-    return Status::Corruption("run page crc mismatch");
-  }
-  const Slice body(raw.data(), kPageHeaderLen + payload_bytes);
-  RunEntry e;
-  for (uint32_t i = 0; i < entry_count; ++i) {
-    if (!DecodeEntry(body, &off, &e)) {
-      return Status::Corruption("run page entry damaged");
-    }
-    if (key != nullptr) {
-      const int cmp = Slice(e.key).compare(*key);
-      if (cmp == 0) {
-        *out = std::move(e);
-        *found = true;
-        return Status::OK();
-      }
-      if (cmp > 0) return Status::OK();  // Sorted: key absent.
-    } else if (fn) {
-      fn(e);
-    }
-  }
-  return Status::OK();
-}
-
 Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
-                       bool* found) const {
+                       bool* found, bool* pinned) const {
   *found = false;
+  if (pinned != nullptr) *pinned = false;
   if (fences_.empty()) return Status::OK();
   // Last fence <= key; fences_[0] is the run's smallest key.
   if (Slice(fences_[0]).compare(key) > 0) return Status::OK();
@@ -346,23 +356,116 @@ Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
   BufferPool::Pin pin;
   Status st = pool->PinPage(file_->id(), static_cast<uint32_t>(lo) + 1, &pin);
   if (!st.ok()) return st;
-  st = SearchPage(pin.data, page_bytes_, &key, out, found, nullptr);
+  if (pinned != nullptr) *pinned = true;
+  Slice body;
+  uint32_t entry_count = 0;
+  st = ParsePage(reinterpret_cast<const char*>(pin.data), page_bytes_, &body,
+                 &entry_count);
+  size_t off = kPageHeaderLen;
+  RunEntryView e;
+  for (uint32_t i = 0; st.ok() && i < entry_count; ++i) {
+    if (!DecodeEntry(body, &off, &e)) {
+      st = Status::Corruption("run page entry damaged");
+      break;
+    }
+    const int cmp = e.key.compare(key);
+    if (cmp > 0) break;  // Sorted: key absent.
+    if (cmp == 0) {
+      out->key.assign(e.key.data(), e.key.size());
+      out->value.assign(e.value.data(), e.value.size());
+      out->commit_ts = e.commit_ts;
+      out->tombstone = e.tombstone;
+      *found = true;
+      break;
+    }
+  }
   pool->Unpin(pin.frame);
   return st;
 }
 
-Status RunFile::ForEachEntry(
-    const std::function<void(const RunEntry&)>& fn) const {
-  std::string page(page_bytes_, '\0');
-  for (uint32_t p = 0; p < page_count_; ++p) {
-    Status st = PreadFull(env_, file_->fd(), page.data(), page.size(),
-                          static_cast<uint64_t>(p + 1) * page_bytes_);
+RunFile::Cursor::Cursor(const RunFile* run)
+    : run_(run), page_(run->page_bytes_, '\0') {}
+
+Status RunFile::Cursor::Next() {
+  while (left_ == 0) {
+    if (next_page_ == run_->page_count_) {
+      valid_ = false;
+      return Status::OK();
+    }
+    Status st = PreadFull(run_->env_, run_->file_->fd(), page_.data(),
+                          page_.size(),
+                          static_cast<uint64_t>(next_page_ + 1) *
+                              run_->page_bytes_);
     if (!st.ok()) return st;
-    st = SearchPage(reinterpret_cast<const uint8_t*>(page.data()),
-                    page_bytes_, nullptr, nullptr, nullptr, fn);
+    st = ParsePage(page_.data(), run_->page_bytes_, &body_, &left_);
     if (!st.ok()) return st;
+    offset_ = kPageHeaderLen;
+    ++next_page_;
   }
+  if (!DecodeEntry(body_, &offset_, &entry_)) {
+    return Status::Corruption("run page entry damaged");
+  }
+  --left_;
+  valid_ = true;
   return Status::OK();
+}
+
+Status RunFile::ForEachEntry(
+    const std::function<void(const RunEntryView&)>& fn) const {
+  Cursor cursor(this);
+  for (;;) {
+    Status st = cursor.Next();
+    if (!st.ok()) return st;
+    if (!cursor.valid()) return Status::OK();
+    fn(cursor.entry());
+  }
+}
+
+RunEntrySource MergeRuns(std::vector<std::shared_ptr<RunFile>> inputs) {
+  struct Merge {
+    std::vector<std::shared_ptr<RunFile>> runs;
+    std::vector<RunFile::Cursor> cursors;
+    /// Cursors to step before the next pick: all of them at first, then
+    /// those that sat on the key emitted last.
+    std::vector<bool> stale;
+  };
+  auto m = std::make_shared<Merge>();
+  m->runs = std::move(inputs);
+  m->cursors.reserve(m->runs.size());
+  for (const auto& run : m->runs) m->cursors.emplace_back(run.get());
+  m->stale.assign(m->cursors.size(), true);
+  return [m](RunEntryView* next, bool* done) -> Status {
+    const size_t n = m->cursors.size();
+    for (size_t i = 0; i < n; ++i) {
+      if (!m->stale[i]) continue;
+      Status st = m->cursors[i].Next();
+      if (!st.ok()) return st;
+      m->stale[i] = false;
+    }
+    // The smallest key; among equal keys the highest commit_ts, and among
+    // equal commit_ts the earliest input (the newest run).
+    const RunEntryView* best = nullptr;
+    for (const RunFile::Cursor& c : m->cursors) {
+      if (!c.valid()) continue;
+      const RunEntryView& e = c.entry();
+      if (best == nullptr) {
+        best = &e;
+        continue;
+      }
+      const int cmp = e.key.compare(best->key);
+      if (cmp < 0 || (cmp == 0 && e.commit_ts > best->commit_ts)) best = &e;
+    }
+    *done = best == nullptr;
+    if (*done) return Status::OK();
+    // Every cursor on this key moves on at the next call, after the writer
+    // has copied *next out of the winner's page.
+    for (size_t i = 0; i < n; ++i) {
+      m->stale[i] = m->cursors[i].valid() &&
+                    m->cursors[i].entry().key == best->key;
+    }
+    *next = *best;
+    return Status::OK();
+  };
 }
 
 }  // namespace ssidb

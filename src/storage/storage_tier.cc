@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 
 #include "src/obs/trace_ring.h"
 #include "src/recovery/fs_util.h"
@@ -84,7 +83,9 @@ Status StorageTier::Lookup(uint32_t table_id, Slice key, RunEntry* out,
     snapshot = it->second;
   }
   for (const std::shared_ptr<RunFile>& run : snapshot) {
-    Status st = run->Lookup(&pool_, key, out, found);
+    bool pinned = false;
+    Status st = run->Lookup(&pool_, key, out, found, &pinned);
+    if (pinned) lookup_probes_.fetch_add(1, std::memory_order_relaxed);
     if (!st.ok()) return st;
     if (*found) return Status::OK();  // Newest-first: first hit wins.
   }
@@ -103,34 +104,20 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
     }
     inputs = it->second;
   }
-  // Merge: direct sequential preads (bypassing the pool so a full-table
-  // pass cannot evict hot pages), newest commit_ts per key wins.
+  // Stream a k-way merge of the inputs straight into the replacement run:
+  // one cursor per input reads its run sequentially with direct preads
+  // (bypassing the pool so a full-table pass cannot evict hot pages), the
+  // newest commit_ts per key wins, and the writer holds one output page.
   // Tombstones are kept — an evicted chain whose anchor is a tombstone
-  // still faults it back as the §3.5 delete marker.
-  std::map<std::string, RunEntry> merged;
-  for (const std::shared_ptr<RunFile>& run : inputs) {
-    Status st = run->ForEachEntry([&](const RunEntry& e) {
-      auto it = merged.find(e.key);
-      if (it == merged.end()) {
-        merged.emplace(e.key, e);
-      } else if (e.commit_ts > it->second.commit_ts) {
-        it->second = e;
-      }
-    });
-    if (!st.ok()) return st;
-  }
-  if (merged.empty()) return Status::OK();
-  std::vector<RunEntry> entries;
-  entries.reserve(merged.size());
-  for (auto& [key, e] : merged) entries.push_back(std::move(e));
-
+  // still faults it back as the §3.5 delete marker. A cursor read error
+  // fails the write before the rename: the inputs stay published.
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t file_id =
       next_file_id_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<RunFile> replacement;
   Status st = RunFile::Create(RunPath(table_id, seq), table_id, seq, file_id,
-                              options_.run_page_bytes, entries, &pool_,
-                              /*fsync=*/true, &replacement, env_);
+                              options_.run_page_bytes, MergeRuns(inputs),
+                              &pool_, /*fsync=*/true, &replacement, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
 
   // Publish the replacement and unlink the inputs. Only after the rename +
@@ -157,6 +144,7 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
   for (const std::shared_ptr<RunFile>& run : dead) {
     env_->RemoveFile(run->path());  // In-flight faulters read the open fd.
   }
+  compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -185,7 +173,7 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
       // spill) against the table. Treat it as corruption.
       return Status::Corruption("run for unknown table: " + path);
     }
-    st = run->ForEachEntry([&](const RunEntry& e) {
+    st = run->ForEachEntry([&](const RunEntryView& e) {
       table->RecoverEvicted(e.key, e.commit_ts);
       max_cts = std::max(max_cts, e.commit_ts);
     });

@@ -17,7 +17,9 @@
 // Lookup order: a key may appear in several runs (respilled after new
 // commits); Lookup probes newest-first (descending seq) and stops at the
 // first hit, so the newest spilled version wins. Compaction merges a
-// table's runs into one, keeping the highest commit_ts per key.
+// table's runs into one, keeping the highest commit_ts per key. The merge
+// streams (MergeRuns into RunFile::Create): its memory is one page per
+// input run plus one output page, not the table's size.
 //
 // Locking: runs_mu_ (shared_mutex) guards the per-table run lists; held
 // shared for lookups (copying shared_ptrs out before any I/O), exclusive
@@ -76,8 +78,11 @@ class StorageTier {
 
   /// Merge all of `table_id`'s runs into one when at least
   /// run_compaction_min_runs have accumulated (newest commit_ts per key
-  /// wins); delete the inputs once the replacement is durable. Called from
-  /// the DB sweeper thread — the background merge daemon.
+  /// wins), streaming a k-way merge of the inputs' cursors into the
+  /// replacement; delete the inputs once the replacement is durable. On
+  /// any error (a cursor read included) no replacement or .tmp file is
+  /// left and the inputs stay published. Called from the DB sweeper
+  /// thread — the background merge daemon.
   Status MaybeCompact(uint32_t table_id);
 
   /// Recovery: open every run file in the directory, publish each under
@@ -101,6 +106,15 @@ class StorageTier {
   }
   void AddFaulted(uint64_t n) {
     faulted_chains_.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Compactions completed (tier.compactions).
+  uint64_t compactions() const {
+    return compactions_.load(std::memory_order_relaxed);
+  }
+  /// Run pages pinned by Lookup (tier.lookup_probes): divided by
+  /// tier.faulted_chains, the probes one fault costs.
+  uint64_t lookup_probes() const {
+    return lookup_probes_.load(std::memory_order_relaxed);
   }
 
   /// Run creations/compactions that failed on I/O (io.errors.tier).
@@ -133,6 +147,8 @@ class StorageTier {
 
   std::atomic<uint64_t> spilled_chains_{0};
   std::atomic<uint64_t> faulted_chains_{0};
+  std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> lookup_probes_{0};
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<obs::TraceRing*> trace_{nullptr};
 };

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -289,7 +291,7 @@ TEST(RunFileTest, OpenValidatesAndForEachScans) {
   EXPECT_EQ(run->entry_count(), 64u);
   // ForEachEntry yields the full sorted contents (the compaction path).
   size_t i = 0;
-  ASSERT_TRUE(run->ForEachEntry([&](const RunEntry& e) {
+  ASSERT_TRUE(run->ForEachEntry([&](const RunEntryView& e) {
                     EXPECT_EQ(e.key, entries[i].key);
                     EXPECT_EQ(e.commit_ts, entries[i].commit_ts);
                     ++i;
@@ -337,6 +339,90 @@ TEST(RunFileTest, CorruptDataPageIsDetectedByLookup) {
     }
   }
   EXPECT_TRUE(hit_corruption);
+}
+
+/// MergeRuns against a std::map reference merge, at the RunFile level:
+/// overlapping keys, tombstones, keys only the oldest run holds, equal keys
+/// under different commit_ts, an equal commit_ts tie (the newer run wins)
+/// and an input that spans many pages.
+TEST(RunFileTest, MergeRunsMatchesReferenceMerge) {
+  ScratchDir dir;
+  BufferPool pool(4 * kPage, kPage);
+  // inputs[0] is the newest run, as StorageTier passes them.
+  std::vector<std::vector<RunEntry>> contents(3);
+  for (uint64_t i = 0; i < 120; ++i) {  // Oldest: every key, many pages.
+    contents[2].push_back(
+        {EncodeU64Key(i), "old" + std::to_string(i), 10 + i, false});
+  }
+  for (uint64_t i = 0; i < 120; i += 3) {  // Middle: every third key.
+    contents[1].push_back({EncodeU64Key(i), "mid" + std::to_string(i),
+                           500 + i, i % 2 == 0});
+  }
+  for (uint64_t i = 60; i < 150; i += 4) {  // Newest: overlaps and extends.
+    // Keys = 0 mod 12 tie with the middle run's commit_ts.
+    const Timestamp cts = i % 12 == 0 ? 500 + i : 1000 + i;
+    contents[0].push_back({EncodeU64Key(i), "new" + std::to_string(i), cts,
+                           i % 5 == 0});
+  }
+  std::vector<std::shared_ptr<RunFile>> inputs;
+  std::map<std::string, RunEntry> reference;
+  for (size_t r = 0; r < contents.size(); ++r) {
+    std::shared_ptr<RunFile> run;
+    ASSERT_TRUE(RunFile::Create(dir.path + "/in" + std::to_string(r) + ".run",
+                                3, 10 - r, r + 1, kPage, contents[r], &pool,
+                                /*fsync=*/false, &run)
+                    .ok());
+    inputs.push_back(run);
+    for (const RunEntry& e : contents[r]) {  // Newest first: ties keep it.
+      auto it = reference.find(e.key);
+      if (it == reference.end()) {
+        reference.emplace(e.key, e);
+      } else if (e.commit_ts > it->second.commit_ts) {
+        it->second = e;
+      }
+    }
+  }
+  ASSERT_GE(inputs[2]->page_count(), 4u);
+
+  std::shared_ptr<RunFile> merged;
+  ASSERT_TRUE(RunFile::Create(dir.path + "/out.run", 3, 11, 9, kPage,
+                              MergeRuns(inputs), &pool, /*fsync=*/false,
+                              &merged)
+                  .ok());
+  EXPECT_EQ(merged->entry_count(), reference.size());
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/out.run.tmp"));
+  auto ref = reference.begin();
+  ASSERT_TRUE(merged->ForEachEntry([&](const RunEntryView& e) {
+                      ASSERT_NE(ref, reference.end());
+                      EXPECT_EQ(e.key, Slice(ref->second.key));
+                      EXPECT_EQ(e.value, Slice(ref->second.value));
+                      EXPECT_EQ(e.commit_ts, ref->second.commit_ts);
+                      EXPECT_EQ(e.tombstone, ref->second.tombstone);
+                      ++ref;
+                    })
+                  .ok());
+  EXPECT_EQ(ref, reference.end());
+  EXPECT_EQ(reference.at(EncodeU64Key(72)).value, "new72")
+      << "an equal commit_ts tie goes to the newer run";
+  for (const auto& [key, want] : reference) {
+    RunEntry got;
+    bool found = false;
+    bool pinned = false;
+    ASSERT_TRUE(merged->Lookup(&pool, key, &got, &found, &pinned).ok());
+    ASSERT_TRUE(found);
+    EXPECT_TRUE(pinned);
+    EXPECT_EQ(got.key, key);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.commit_ts, want.commit_ts);
+  }
+  // Below the first key: nothing pinned.
+  RunEntry got;
+  bool found = true;
+  bool pinned = true;
+  ASSERT_TRUE(
+      merged->Lookup(&pool, Slice("", 0), &got, &found, &pinned).ok());
+  EXPECT_FALSE(found);
+  EXPECT_FALSE(pinned);
 }
 
 TEST(RunFileTest, TruncatedTrailerFailsOpen) {

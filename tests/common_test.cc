@@ -1,13 +1,16 @@
-// Unit tests for src/common: Status, Slice, order-preserving encoding, and
-// the random distributions the workloads depend on.
+// Unit tests for src/common: Status, Slice, order-preserving encoding, the
+// CRC32C every durable artifact is framed with, and the random
+// distributions the workloads depend on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/common/crc32c.h"
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/common/slice.h"
@@ -165,6 +168,91 @@ TEST(EncodingTest, DecodersRejectTruncatedInput) {
   std::string out;
   off = 1;
   EXPECT_FALSE(GetLengthPrefixed(s, &off, &out));
+}
+
+TEST(EncodingTest, LengthPrefixedSliceDecodesInPlace) {
+  std::string buf;
+  PutLengthPrefixed(&buf, "abc");
+  PutLengthPrefixed(&buf, "");
+  size_t off = 0;
+  Slice v;
+  ASSERT_TRUE(GetLengthPrefixed(buf, &off, &v));
+  EXPECT_EQ(v, Slice("abc"));
+  EXPECT_EQ(v.data(), buf.data() + 4) << "must point into the input";
+  ASSERT_TRUE(GetLengthPrefixed(buf, &off, &v));
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(off, buf.size());
+  EXPECT_FALSE(GetLengthPrefixed(buf, &off, &v));  // Past the end.
+  off = 0;
+  EXPECT_FALSE(GetLengthPrefixed(Slice(buf.data(), 5), &off, &v));
+}
+
+/// RFC 3720 (iSCSI) appendix B.4 test vectors, plus the customary
+/// "123456789" check value.
+TEST(Crc32cTest, KnownVectors) {
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xff');
+  std::string ascending, descending;
+  for (int i = 0; i < 32; ++i) {
+    ascending.push_back(static_cast<char>(i));
+    descending.push_back(static_cast<char>(31 - i));
+  }
+  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(descending), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32c(Slice("123456789")), 0xE3069283u);
+  EXPECT_EQ(Crc32c(Slice()), 0u);
+  // The portable loop agrees on the same vectors.
+  EXPECT_EQ(crc32c_internal::Portable(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+  EXPECT_EQ(crc32c_internal::Portable(0, "123456789", 9), 0xE3069283u);
+}
+
+/// The dispatched implementation (the crc32 instruction where the CPU has
+/// SSE4.2) must be byte-identical to the table loop at every length and
+/// alignment, so files written by either build read under the other.
+TEST(Crc32cTest, DispatchedMatchesPortable) {
+  std::string buf(1024 + 8 + 16384, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (char& c : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(0, p, len), crc32c_internal::Portable(0, p, len))
+          << "offset " << offset << " len " << len;
+      // A nonzero starting crc takes the same path.
+      ASSERT_EQ(Crc32c(0x12345678u, p, len),
+                crc32c_internal::Portable(0x12345678u, p, len));
+    }
+  }
+  // One full 16 KiB run page.
+  EXPECT_EQ(Crc32c(0, buf.data(), 16384),
+            crc32c_internal::Portable(0, buf.data(), 16384));
+#if defined(__x86_64__)
+  // The dispatch takes the instruction wherever the CPU has it.
+  EXPECT_EQ(crc32c_internal::UsesHardware(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#endif
+  if (!crc32c_internal::UsesHardware()) {
+    GTEST_LOG_(INFO) << "no SSE4.2 on this CPU: only the portable path ran";
+  }
+}
+
+TEST(Crc32cTest, StreamingEqualsOneShot) {
+  const std::string data =
+      "The quick brown fox jumps over the lazy dog, twice over.";
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32c(0, data.data(), split);
+    EXPECT_EQ(Crc32c(head, data.data() + split, data.size() - split),
+              Crc32c(data))
+        << "split at " << split;
+  }
 }
 
 TEST(RandomTest, DeterministicPerSeed) {

@@ -426,6 +426,7 @@ TEST(EngineMetricsTest, NamesAreUniqueAndCoverEveryEngineMetric) {
   const std::vector<std::string> tier_counters = {
       "pool.hits",          "pool.misses",        "pool.evictions",
       "pool.writebacks",    "tier.spilled_chains", "tier.faulted_chains",
+      "tier.compactions",   "tier.lookup_probes",
       "io.retries",         "io.errors.pool",     "io.errors.tier",
       "io.injected_faults"};
   const std::vector<std::string> tier_histograms = {"pool.read_io_ns",

@@ -9,12 +9,17 @@
 //   * the second-chance clock bit keeps hot chains resident;
 //   * runs are the durable home of spilled keys across restarts (recovery
 //     opens runs instead of replaying everything into RAM);
-//   * compaction merges runs keeping the newest commit per key.
+//   * compaction merges runs keeping the newest commit per key, streaming
+//     the same result a whole-table map merge would give, and a read
+//     error mid-merge leaves the inputs published and no file behind.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +28,9 @@
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/db/db.h"
+#include "src/io/env.h"
+#include "src/storage/buffer_pool.h"
+#include "src/storage/run_file.h"
 #include "src/storage/storage_tier.h"
 #include "tests/test_util.h"
 
@@ -45,8 +53,10 @@ struct TierFixture {
   std::unique_ptr<DB> db;
   TableId table = 0;
 
-  TierFixture() {
-    EXPECT_TRUE(DB::Open(TierOptions(dir.path), &db).ok());
+  explicit TierFixture(io::Env* env = nullptr) {
+    DBOptions opts = TierOptions(dir.path);
+    opts.env = env;
+    EXPECT_TRUE(DB::Open(opts, &db).ok());
     EXPECT_TRUE(db->CreateTable("t", &table).ok());
   }
 
@@ -244,6 +254,186 @@ TEST(SpillTest, CompactionMergesRunsKeepingNewestCommit) {
     std::string v;
     ASSERT_TRUE(f.Get(EncodeU64Key(i), &v).ok());
     EXPECT_EQ(v, "w3");
+  }
+}
+
+/// The run files in `dir`, sorted by name (table id, then sequence).
+std::vector<std::string> RunFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Every entry of the run at `path`, read through a private pool; its
+/// page count goes to *pages.
+std::vector<RunEntry> ReadRun(const std::string& path, uint64_t file_id,
+                              uint32_t* pages = nullptr) {
+  BufferPool pool(4 * 4096, 4096);
+  std::shared_ptr<RunFile> run;
+  EXPECT_TRUE(RunFile::Open(path, file_id, &pool, &run).ok()) << path;
+  std::vector<RunEntry> entries;
+  if (run == nullptr) return entries;
+  if (pages != nullptr) *pages = run->page_count();
+  EXPECT_TRUE(run->ForEachEntry([&](const RunEntryView& e) {
+                    entries.push_back(RunEntry{e.key.ToString(),
+                                               e.value.ToString(),
+                                               e.commit_ts, e.tombstone});
+                  })
+                  .ok());
+  return entries;
+}
+
+/// Four spilled waves over 64 keys: wave 0 writes every key with a value
+/// long enough that its run spans many pages; wave 1 rewrites the even
+/// keys; wave 2 deletes every fifth key (tombstones); wave 3 rewrites the
+/// keys = 1 mod 3 (re-inserting 10, 25, 40, 55). Keys like 11 stay only in
+/// the oldest run, and rewritten keys sit in several runs under different
+/// commit_ts.
+void BuildFourWaves(TierFixture* f) {
+  constexpr uint64_t kKeys = 64;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    f->Put(EncodeU64Key(i), std::string(300, 'a' + i % 26));
+  }
+  f->SpillAll();
+  for (uint64_t i = 0; i < kKeys; i += 2) {
+    f->Put(EncodeU64Key(i), "even" + std::to_string(i));
+  }
+  f->SpillAll();
+  for (uint64_t i = 0; i < kKeys; i += 5) f->Del(EncodeU64Key(i));
+  f->SpillAll();
+  for (uint64_t i = 1; i < kKeys; i += 3) {
+    f->Put(EncodeU64Key(i), "third" + std::to_string(i));
+  }
+  f->SpillAll();
+}
+
+/// Whether key i ends BuildFourWaves deleted.
+bool EndsDeleted(uint64_t i) { return i % 5 == 0 && i % 3 != 1; }
+
+TEST(SpillTest, StreamingCompactionMatchesReferenceMerge) {
+  TierFixture f;
+  StorageTier* tier = f.db->storage_tier();
+  BuildFourWaves(&f);
+  ASSERT_EQ(tier->run_count(f.table), 4u);
+  const std::vector<std::string> inputs = RunFiles(f.dir.path);
+  ASSERT_EQ(inputs.size(), 4u);
+
+  // Reference: a whole-table map merge of the inputs, newest commit_ts
+  // per key, tombstones kept.
+  std::map<std::string, RunEntry> reference;
+  uint64_t file_id = 1000;
+  for (const std::string& name : inputs) {
+    uint32_t pages = 0;
+    for (RunEntry& e : ReadRun(f.dir.path + "/" + name, file_id++, &pages)) {
+      auto it = reference.find(e.key);
+      if (it == reference.end()) {
+        reference.emplace(e.key, std::move(e));
+      } else if (e.commit_ts > it->second.commit_ts) {
+        it->second = std::move(e);
+      }
+    }
+    if (name == inputs[0]) {
+      EXPECT_GE(pages, 4u) << "the oldest run must span many pages";
+    }
+  }
+  ASSERT_EQ(reference.size(), 64u);
+  EXPECT_EQ(reference.at(EncodeU64Key(11)).value, std::string(300, 'l'))
+      << "a key only the oldest run holds survives";
+  for (uint64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(reference.at(EncodeU64Key(i)).tombstone, EndsDeleted(i)) << i;
+  }
+
+  // What a fault reads for every key before the merge.
+  std::map<std::string, RunEntry> before;
+  for (const auto& [key, want] : reference) {
+    RunEntry got;
+    bool found = false;
+    ASSERT_TRUE(tier->Lookup(f.table, key, &got, &found).ok());
+    ASSERT_TRUE(found);
+    before.emplace(key, std::move(got));
+  }
+
+  const uint64_t probes = tier->lookup_probes();
+  EXPECT_GE(probes, reference.size()) << "each lookup pins at least a page";
+  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
+  EXPECT_EQ(tier->run_count(f.table), 1u);
+  EXPECT_EQ(tier->compactions(), 1u);
+  const std::vector<std::string> outputs = RunFiles(f.dir.path);
+  ASSERT_EQ(outputs.size(), 1u) << "inputs deleted, no .tmp left";
+
+  const std::vector<RunEntry> merged =
+      ReadRun(f.dir.path + "/" + outputs[0], file_id++);
+  ASSERT_EQ(merged.size(), reference.size());
+  auto ref = reference.begin();
+  for (const RunEntry& e : merged) {
+    EXPECT_EQ(e.key, ref->second.key);
+    EXPECT_EQ(e.value, ref->second.value);
+    EXPECT_EQ(e.commit_ts, ref->second.commit_ts);
+    EXPECT_EQ(e.tombstone, ref->second.tombstone);
+    ++ref;
+  }
+
+  // Every key faults to the same entry after the merge, in one probe.
+  for (const auto& [key, want] : before) {
+    RunEntry got;
+    bool found = false;
+    ASSERT_TRUE(tier->Lookup(f.table, key, &got, &found).ok());
+    ASSERT_TRUE(found);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.commit_ts, want.commit_ts);
+    EXPECT_EQ(got.tombstone, want.tombstone);
+    std::string v;
+    const Status st = f.Get(key, &v);
+    if (want.tombstone) {
+      EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(v, want.value);
+    }
+  }
+  EXPECT_EQ(tier->lookup_probes() - probes, 2 * before.size())
+      << "one page per lookup: the direct ones, then the Gets' faults";
+}
+
+TEST(SpillTest, CompactionReadErrorLeavesInputsPublished) {
+  io::FaultInjectingEnv env;
+  TierFixture f(&env);
+  StorageTier* tier = f.db->storage_tier();
+  BuildFourWaves(&f);
+  ASSERT_EQ(tier->run_count(f.table), 4u);
+  const std::vector<std::string> inputs = RunFiles(f.dir.path);
+  ASSERT_EQ(inputs.size(), 4u);
+
+  // The oldest run's first page reads fine, its second fails: the merge
+  // has started writing the replacement when the cursor errors.
+  env.InjectFault(io::FaultInjectingEnv::FaultKind::kReadError, inputs[0],
+                  /*skip=*/1, /*count=*/1);
+  const uint64_t io_errors = tier->io_errors();
+  const Status st = tier->MaybeCompact(f.table);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(tier->run_count(f.table), 4u);
+  EXPECT_EQ(tier->compactions(), 0u);
+  EXPECT_EQ(tier->io_errors(), io_errors + 1);
+  EXPECT_EQ(RunFiles(f.dir.path), inputs)
+      << "no replacement .run or .tmp may be left";
+
+  // The disk heals: the next pass merges, and every read still answers.
+  env.ClearFaults();
+  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
+  EXPECT_EQ(tier->run_count(f.table), 1u);
+  for (uint64_t i = 0; i < 64; ++i) {
+    std::string v;
+    const Status got = f.Get(EncodeU64Key(i), &v);
+    if (EndsDeleted(i)) {
+      EXPECT_TRUE(got.IsNotFound()) << i;
+    } else {
+      ASSERT_TRUE(got.ok()) << i << " " << got.ToString();
+      EXPECT_FALSE(v.empty());
+    }
   }
 }
 
