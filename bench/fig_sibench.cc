@@ -30,7 +30,7 @@ SetupFn MakeSetup(uint64_t items, uint32_t queries_per_update) {
     // SSIDB_WAL_DIR switches the point to the durable regime: a real
     // file-backed WAL with write+fsync group commits instead of the
     // simulated latency. SSIDB_CKPT_INTERVAL_MS additionally runs the
-    // background checkpointer (incremental base+delta images + metadata
+    // background checkpointer (incremental run generations + metadata
     // WAL GC) during the measurement, so the JSON artifact tracks the
     // full durable-regime overhead.
     opts.log.wal_dir = NextWalPointDir();

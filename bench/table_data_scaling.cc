@@ -154,6 +154,16 @@ void PastRamReport() {
     db->SpillChains(table);  // ...then evict.
   };
 
+  // Return freed chain arenas to the OS before each sample, so RSS
+  // reflects live state rather than allocator retention.
+  auto sample_rss = [] {
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+    return CurrentRssBytes();
+  };
+  const size_t rss_before_load = sample_rss();
+
   // Load in batches with interleaved spills: the resident high-water mark
   // is one batch of chains, never the dataset.
   constexpr uint64_t kBatch = 2048;
@@ -169,15 +179,14 @@ void PastRamReport() {
   const double load_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - load_start)
                             .count();
-  // Return freed chain arenas to the OS before each sample, so RSS
-  // reflects live state rather than allocator retention.
-  auto sample_rss = [] {
-#if defined(__GLIBC__)
-    malloc_trim(0);
-#endif
-    return CurrentRssBytes();
-  };
   size_t peak_rss = sample_rss();
+  // What stays resident per key once every chain is evicted: its index
+  // node and empty VersionChain (plus the pool frames the load touched).
+  // Evicted chains are not freed, so past-RAM memory is O(keys), not
+  // O(pool); this makes that bound visible.
+  const double resident_bytes_per_key =
+      (static_cast<double>(peak_rss) - static_cast<double>(rss_before_load)) /
+      static_cast<double>(keys);
 
   constexpr int kRounds = 3;
   constexpr uint64_t kReadsPerRound = 20000;
@@ -229,20 +238,21 @@ void PastRamReport() {
          pool_mb, dataset_bytes / (1024.0 * 1024.0),
          static_cast<unsigned long long>(keys), load_s);
   printf("  fault reads %.0f/s  hot reads %.0f/s  hit_rate %.3f  "
-         "peak RSS %.1fMB\n",
+         "peak RSS %.1fMB  resident %.0f B/key\n",
          MedianOf(fault_rps), MedianOf(hot_rps), hit_rate,
-         peak_rss / (1024.0 * 1024.0));
+         peak_rss / (1024.0 * 1024.0), resident_bytes_per_key);
   printf("{\"name\":\"table_data_scaling_past_ram\",\"pool_bytes\":%zu,"
          "\"dataset_bytes\":%zu,\"keys\":%llu,\"fault_reads_per_s\":%.0f,"
          "\"hot_reads_per_s\":%.0f,\"hit_rate\":%.3f,\"peak_rss_bytes\":%zu,"
          "\"spilled_chains\":%llu,\"faulted_chains\":%llu,"
-         "\"lookup_probes\":%llu}\n",
+         "\"lookup_probes\":%llu,\"resident_bytes_per_key\":%.1f}\n",
          static_cast<size_t>(opts.buffer_pool_bytes), dataset_bytes,
          static_cast<unsigned long long>(keys), MedianOf(fault_rps),
          MedianOf(hot_rps), hit_rate, peak_rss,
          static_cast<unsigned long long>(m.Counter("tier.spilled_chains")),
          static_cast<unsigned long long>(m.Counter("tier.faulted_chains")),
-         static_cast<unsigned long long>(m.Counter("tier.lookup_probes")));
+         static_cast<unsigned long long>(m.Counter("tier.lookup_probes")),
+         resident_bytes_per_key);
 
   db.reset();
   std::error_code ec;

@@ -90,7 +90,7 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
 ///   SSIDB_FLUSH_US       - simulated log flush latency override.
 ///   SSIDB_CKPT_INTERVAL_MS - background checkpointer interval for
 ///                          durable-regime points (incremental
-///                          base+delta images; 0/unset = no
+///                          run generations; 0/unset = no
 ///                          checkpointer).
 ///   SSIDB_WAL_DIR        - base directory for a real file-backed WAL:
 ///                          flush-on-commit points run against write+fsync

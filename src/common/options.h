@@ -77,8 +77,9 @@ enum class DeadlockPolicy {
 ///     paper's I/O-bound regime without touching the filesystem.
 ///   * Durable (wal_dir set): records are appended to segmented WAL files
 ///     in wal_dir with a real write+fsync per batch; DB::Open replays them
-///     (plus the latest checkpoint) to recover committed state after a
-///     crash. flush_latency_us is ignored — the disk provides the latency.
+///     past the latest checkpoint (whose data lives in run files) to
+///     recover committed state after a crash. flush_latency_us is ignored
+///     — the disk provides the latency.
 struct LogOptions {
   /// If false, commits return without waiting for a flush ("no log flush"
   /// configuration of Fig 6.1: ~100us transactions). If true, each commit
@@ -99,9 +100,11 @@ struct LogOptions {
   /// original behaviour as an ablation.
   bool early_lock_release = false;
 
-  /// Directory for WAL segments and checkpoints. Empty (default) keeps the
-  /// engine fully in-memory with the simulated flush above. Created on
-  /// first use if missing.
+  /// Directory for WAL segments and checkpoint manifests. Empty (default)
+  /// keeps the engine fully in-memory with the simulated flush above.
+  /// Created on first use if missing. Setting it also gives the engine a
+  /// storage tier: checkpoints write run files into DBOptions::data_dir
+  /// (default "<wal_dir>/runs").
   std::string wal_dir;
 
   /// Size at which the WAL rotates to a new segment file (durable mode).
@@ -115,13 +118,6 @@ struct LogOptions {
   /// If nonzero, DB runs a background thread that calls DB::Checkpoint()
   /// every this-many milliseconds (durable mode only).
   uint32_t checkpoint_interval_ms = 0;
-
-  /// Incremental checkpoints: after a full base image, up to this many
-  /// delta images (each sweeping only versions committed since the
-  /// previous checkpoint) are chained off it before the next checkpoint
-  /// compacts the chain into a fresh full base. 0 = every checkpoint is a
-  /// full sweep (the pre-delta behaviour).
-  uint32_t checkpoint_max_deltas = 4;
 
   /// Adaptive group commit: when nonzero and flush_on_commit is set, the
   /// flusher briefly waits (up to this many microseconds) for straggler
@@ -193,26 +189,31 @@ struct DBOptions {
   /// (tests use tiny values to force collisions).
   uint32_t txn_registry_shards = 0;
 
-  /// Disk-backed storage tier (buffer_pool.h / storage_tier.h). Nonzero
-  /// enables it: cold version chains (newest commit at or below the prune
-  /// horizon, not accessed since the previous sweep) are evicted to
-  /// immutable sorted run files under data_dir, and a read that misses in
-  /// memory faults the chain suffix back through a buffer pool of this
-  /// many bytes (fixed frame array, clock second-chance eviction). 0 (the
-  /// default) keeps every chain memory-resident — the pre-tier engine,
+  /// Disk-backed storage tier (buffer_pool.h / storage_tier.h): nonzero
+  /// turns on runtime spilling. Cold version chains (newest commit at or
+  /// below the prune horizon, not accessed since the previous sweep) are
+  /// evicted to immutable sorted run files under data_dir, and a read that
+  /// misses in memory faults the chain suffix back through a buffer pool
+  /// of this many bytes (fixed frame array, clock second-chance
+  /// eviction). 0 (the default) never spills at runtime. A durable engine
+  /// still has a tier at 0 — its checkpoints are runs — with a small fixed
+  /// pool (StorageTier::kCheckpointPoolFrames) that serves checkpoint
+  /// writes and faults of chains a reopen left on disk; an in-memory
+  /// engine at 0 keeps every chain resident, the pre-tier engine
   /// bit-for-bit.
   uint64_t buffer_pool_bytes = 0;
 
   /// Directory for run files. Empty defaults to "<wal_dir>/runs" when
-  /// LogOptions::wal_dir is set; with both empty the storage tier stays
-  /// disabled regardless of buffer_pool_bytes (there is nowhere to spill).
-  /// In-memory engines (wal_dir unset) wipe stale runs at Open — runs are
-  /// part of the durable state only when the WAL is.
+  /// LogOptions::wal_dir is set. An in-memory engine (wal_dir unset) has a
+  /// tier only with buffer_pool_bytes > 0 and a data_dir, and wipes stale
+  /// runs at Open — runs are part of the durable state only when the WAL
+  /// is.
   std::string data_dir;
 
   /// Size of one run-file page: the buffer pool's frame size and the CRC
-  /// framing unit of run files. Entries larger than a page's payload are
-  /// never spilled (they stay memory-resident).
+  /// framing unit of run files. In an engine with a storage tier, a write
+  /// whose entry does not fit one page (RunFile::MaxEntryBytes) fails with
+  /// kInvalidArgument.
   uint32_t run_page_bytes = 16384;
 
   /// Background compaction trigger: when a table accumulates at least this
@@ -245,7 +246,7 @@ struct DBOptions {
   /// Target file of the background metrics dumper (appended, JSON lines).
   std::string metrics_dump_path;
 
-  /// I/O environment every durable artifact (WAL, checkpoints, run files,
+  /// I/O environment every durable artifact (WAL, manifests, run files,
   /// buffer-pool page I/O) routes through. nullptr (default) means the
   /// real filesystem (io::Env::Default()); tests install an
   /// io::FaultInjectingEnv to script disk failures. Borrowed — the caller

@@ -9,10 +9,19 @@
 
 #include "src/db/session.h"
 #include "src/io/env.h"
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/wal.h"
 
 namespace ssidb {
+
+namespace {
+
+/// The checkpoint sweep's reader id: matches no version creator (real ids
+/// come from the clock, recovered versions use 0), so VersionChain::Read
+/// never takes the own-write path.
+constexpr TxnId kSweepReader = UINT64_MAX;
+
+}  // namespace
 
 // --------------------------------------------------------------------------
 // Transaction: a thin handle forwarding to the executor.
@@ -72,11 +81,11 @@ DB::DB(const DBOptions& options)
       txn_manager_(std::make_unique<TxnManager>(options, lock_manager_.get(),
                                                 log_manager_.get())),
       tracker_(std::make_unique<ConflictTracker>(options, txn_manager_.get())) {
-  if (options.buffer_pool_bytes > 0 &&
-      (!options.data_dir.empty() || !options.log.wal_dir.empty())) {
-    // Tier enabled: runs live in data_dir, defaulting to a subdirectory of
-    // the WAL directory. A pool size with nowhere to put runs (both dirs
-    // empty) leaves the tier off — the engine stays memory-only.
+  if (!options.log.wal_dir.empty() ||
+      (options.buffer_pool_bytes > 0 && !options.data_dir.empty())) {
+    // Every durable engine has a tier (checkpoints are runs); an in-memory
+    // one only when it spills. Runs live in data_dir, defaulting to a
+    // subdirectory of the WAL directory.
     const std::string dir = options.data_dir.empty()
                                 ? options.log.wal_dir + "/runs"
                                 : options.data_dir;
@@ -268,10 +277,11 @@ Status DB::RecoverOnOpen() {
   // New transactions must draw ids/snapshots above every recovered commit.
   txn_manager_->AdvanceClockTo(recovery_stats_.max_commit_ts);
   if (tier_ != nullptr) {
-    // Open the run files and re-mark their chains evicted: spilled state
-    // stays on disk across restarts instead of being replayed into RAM.
-    // A run may hold commits newer than anything in the WAL/checkpoint
-    // cut only if that cut was damaged; the clock still must clear them.
+    // Open the run files and re-mark their chains evicted: checkpointed
+    // and spilled state stays on disk across restarts instead of being
+    // replayed into RAM. A run may hold commits newer than the WAL's
+    // (a spill of a commit whose record was lost with an unflushed tail);
+    // the clock still must clear them.
     Timestamp max_run_cts = 0;
     st = tier_->RecoverRuns(&catalog_, &max_run_cts);
     if (!st.ok()) return st;
@@ -280,14 +290,9 @@ Status DB::RecoverOnOpen() {
   // Seed the WAL writer's per-segment metadata from recovery's scan, so
   // checkpoint GC can judge pre-crash segments without re-reading them.
   log_manager_->SeedWalSegmentMeta(recovery_stats_.wal_segments);
-  // Resume the checkpoint chain where the recovered one ends: the next
-  // delta hangs off the chain tip, and WAL GC keeps using the recovered
-  // base as its coverage cut. No lock needed — no checkpointer runs yet.
-  last_base_watermark_ = recovery_stats_.base_watermark;
-  last_base_table_count_ = recovery_stats_.base_table_count;
+  // The next checkpoint sweeps only what committed past the recovered
+  // manifest. No lock needed — no checkpointer runs yet.
   last_checkpoint_watermark_ = recovery_stats_.checkpoint_ts;
-  deltas_since_base_ =
-      static_cast<uint32_t>(recovery_stats_.delta_links_applied);
   return Status::OK();
 }
 
@@ -351,7 +356,7 @@ void DB::SweepVersions() {
   // behind a since-finished snapshot. This sweep is the backstop: one
   // shard latch at a time, per chain O(dropped). The horizon is capped by
   // any in-progress checkpoint sweep (prune_horizon), so the sweep can
-  // never delete a version a concurrent image still has to serialize.
+  // never delete a version a concurrent checkpoint still has to write.
   const Timestamp horizon = txn_manager_->prune_horizon();
   const size_t tables = catalog_.table_count();
   size_t freed = 0;
@@ -362,7 +367,7 @@ void DB::SweepVersions() {
   if (freed > 0) {
     versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
   }
-  if (tier_ != nullptr && !read_only()) {
+  if (spilling() && !read_only()) {
     // Spill the cold tail the prune left behind: chains whose anchor is at
     // or below the horizon and that stayed untouched for two sweeps move
     // to a run file; the merge daemon then keeps each table's run count
@@ -373,8 +378,9 @@ void DB::SweepVersions() {
     for (TableId id = 0; id < tables; ++id) {
       Table* t = catalog_.table(id);
       if (t == nullptr) continue;
-      t->SpillShards(horizon);
-      tier_->MaybeCompact(id);
+      const StorageTier::ProducerLock producers = tier_->LockProducers();
+      t->SpillShards(producers, horizon);
+      tier_->MaybeCompact(producers, id);
     }
   }
 }
@@ -385,90 +391,111 @@ Status DB::Checkpoint() {
   }
   if (read_only()) {
     // Degraded mode: the WAL can no longer extend the durable history, so
-    // a new image would cover commits whose log records may be lost.
+    // a new cut would cover commits whose log records may be lost.
     return Status::IOError("database is read-only: WAL I/O failure");
   }
-  // One checkpoint at a time: a manual call racing the background tick
-  // would interleave writes into the same image file.
-  std::lock_guard<std::mutex> guard(checkpoint_write_mu_);
+  // One run producer at a time (storage_tier.h "Producers"): this also
+  // serializes a manual call with the background tick.
+  const StorageTier::ProducerLock producers = tier_->LockProducers();
   // Every commit at or below the stable watermark has fully stamped its
   // versions (txn_manager.h), so the sweep observes a consistent cut.
   // BeginCheckpointSweep also floors version pruning at the watermark for
   // the duration of the sweep, so no pruner can delete a key's newest
-  // version <= watermark out from under the image.
+  // version <= watermark out from under it.
   const Timestamp watermark = txn_manager_->BeginCheckpointSweep();
-  if (watermark == last_checkpoint_watermark_) {
+  const Timestamp since = last_checkpoint_watermark_;
+  if (watermark == since) {
     txn_manager_->EndCheckpointSweep();
-    return Status::OK();  // Nothing committed since the previous image.
+    return Status::OK();  // Nothing committed since the previous cut.
   }
-  // Delta when a base exists and the chain has room; otherwise a full
-  // base that compacts the chain (and the very first image is a base).
-  const bool full = options_.log.checkpoint_max_deltas == 0 ||
-                    last_base_watermark_ == 0 ||
-                    deltas_since_base_ >= options_.log.checkpoint_max_deltas;
-  const Timestamp prev = full ? 0 : last_checkpoint_watermark_;
-  recovery::CheckpointWriteResult written;
-  Status st = recovery::WriteCheckpoint(catalog_, watermark, prev,
-                                        options_.log.wal_dir,
-                                        options_.log.wal_fsync, &written,
-                                        options_.env);
+  // Write-ahead rule: every commit <= watermark appended its WAL record
+  // before the watermark could cover it, so once the log is durable up to
+  // here no run of this cut can hold a commit (or a table) that a crash
+  // would take out of the WAL — even a run whose manifest never lands.
+  Status st = log_manager_->WaitDurable(log_manager_->appended_lsn());
+  // The run generation: per table, each key's newest version <= watermark
+  // that committed after the previous cut, tombstones included. Shards
+  // whose commit hint is at or below `since` are skipped unlatched, so
+  // the sweep is O(changed shards). A chain with nothing resident visible
+  // at the watermark is evicted, and its run is already durable.
+  recovery::Manifest manifest;
+  manifest.watermark = watermark;
+  uint64_t bytes = 0;
+  std::vector<TableId> written;
+  const size_t tables = catalog_.table_count();
+  for (TableId id = 0; st.ok() && id < tables; ++id) {
+    Table* table = catalog_.table(id);
+    manifest.tables.push_back(table->name());
+    std::vector<RunEntry> cut;
+    std::string value;
+    table->ForEachChain(since, [&](const std::string& key,
+                                   VersionChain* chain) {
+      const ReadResult rr = chain->Read(kSweepReader, watermark, &value);
+      if (rr.version_cts <= since) return;  // Older cut, or none visible.
+      cut.push_back(RunEntry{key, rr.found ? value : std::string(),
+                             rr.version_cts, !rr.found});
+    });
+    if (cut.empty()) continue;
+    uint64_t run_bytes = 0;
+    st = tier_->WriteRun(producers, id, cut, &run_bytes);
+    bytes += run_bytes;
+    written.push_back(id);
+  }
   txn_manager_->EndCheckpointSweep();
+  uint64_t manifest_bytes = 0;
+  if (st.ok()) {
+    st = recovery::WriteManifest(options_.log.wal_dir, manifest,
+                                 options_.log.wal_fsync, options_.env,
+                                 &manifest_bytes);
+  }
   if (!st.ok()) {
-    // WriteCheckpoint removed its tmp file; the previous chain on disk is
-    // untouched and stays loadable. The next call (or background tick)
-    // simply retries the same image.
+    // The failed write removed its .tmp, and the previous manifest still
+    // names a complete cut (runs this attempt published hold committed
+    // versions and are harmless). The next call retries from `since`.
     checkpoint_io_errors_.fetch_add(1, std::memory_order_relaxed);
     trace_.Emit(obs::TraceEvent::kIOError, /*txn=*/0, /*arg16=*/2,
                 /*arg32=*/0, /*payload=*/watermark);
     return st;
   }
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_bytes_written_.fetch_add(written.bytes,
+  checkpoint_bytes_written_.fetch_add(bytes + manifest_bytes,
                                       std::memory_order_relaxed);
-  trace_.Emit(obs::TraceEvent::kCheckpoint, /*txn=*/0,
-              /*arg16=*/full ? 1 : 0, /*arg32=*/written.table_count,
-              /*payload=*/watermark);
-  if (full) {
-    last_base_watermark_ = watermark;
-    last_base_table_count_ = written.table_count;
-    deltas_since_base_ = 0;
-  } else {
-    ++deltas_since_base_;
-  }
+  trace_.Emit(obs::TraceEvent::kCheckpoint, /*txn=*/0, /*arg16=*/0,
+              /*arg32=*/static_cast<uint32_t>(tables), /*payload=*/watermark);
   last_checkpoint_watermark_ = watermark;
+  // Compaction keeps each table's run count bounded even when no sweeper
+  // runs. Best effort.
+  for (const TableId id : written) tier_->MaybeCompact(producers, id);
 
   // WAL GC, decided from per-segment metadata counters — zero segment
-  // re-reads. The coverage cut is the newest *base* image: recovery may
-  // discard any damaged delta link and fall back to the base plus WAL
-  // replay, so segments past the base watermark must survive even when a
-  // delta covers them. A segment goes when every commit it holds is at or
-  // below the base watermark AND any table-create it holds binds an id the
-  // base image captured (ids are dense: id < base table count — the
-  // create-watermark rule). The highest-sequence segment always stays (it
-  // may be the flusher's live file), as does any segment the registry does
-  // not know (never the case in practice: this session's segments are
-  // registered at append time, pre-crash ones by recovery's scan). Best
-  // effort: a kept segment just replays idempotently.
+  // re-reads — and only once no older manifest remains for recovery to
+  // fall back to. A segment goes when every commit it holds is at or below
+  // the watermark AND any table-create it holds binds an id the manifest
+  // names (ids are dense: id < table count — the create-watermark rule).
+  // The highest-sequence segment always stays (it may be the flusher's
+  // live file), as does any segment the registry does not know (never the
+  // case in practice: this session's segments are registered at append
+  // time, pre-crash ones by recovery's scan). Best effort: a kept segment
+  // just replays idempotently.
   std::vector<std::string> segments;
-  if (last_base_watermark_ > 0 &&
-      recovery::ListWalSegments(options_.log.wal_dir, &segments).ok()) {
-    const std::map<uint64_t, recovery::WalSegmentMeta> meta =
-        log_manager_->WalSegmentMetadata();
-    for (size_t i = 0; i + 1 < segments.size(); ++i) {
-      uint64_t seq = 0;
-      if (!recovery::ParseWalSegmentSeq(segments[i], &seq)) continue;
-      auto it = meta.find(seq);
-      if (it == meta.end()) continue;  // Unknown provenance: keep.
-      const recovery::WalSegmentMeta& m = it->second;
-      if (m.max_commit_ts > last_base_watermark_) continue;
-      if (m.has_table_create &&
-          m.max_table_id_created >= last_base_table_count_) {
-        continue;
-      }
-      if (io::ResolveEnv(options_.env)->RemoveFile(segments[i]).ok()) {
-        wal_segments_deleted_.fetch_add(1, std::memory_order_relaxed);
-        log_manager_->ForgetWalSegment(seq);
-      }
+  if (!recovery::DropManifestsBefore(options_.log.wal_dir, watermark,
+                                     options_.env) ||
+      !recovery::ListWalSegments(options_.log.wal_dir, &segments).ok()) {
+    return Status::OK();
+  }
+  const std::map<uint64_t, recovery::WalSegmentMeta> meta =
+      log_manager_->WalSegmentMetadata();
+  for (size_t i = 0; i + 1 < segments.size(); ++i) {
+    uint64_t seq = 0;
+    if (!recovery::ParseWalSegmentSeq(segments[i], &seq)) continue;
+    auto it = meta.find(seq);
+    if (it == meta.end()) continue;  // Unknown provenance: keep.
+    const recovery::WalSegmentMeta& m = it->second;
+    if (m.max_commit_ts > watermark) continue;
+    if (m.has_table_create && m.max_table_id_created >= tables) continue;
+    if (io::ResolveEnv(options_.env)->RemoveFile(segments[i]).ok()) {
+      wal_segments_deleted_.fetch_add(1, std::memory_order_relaxed);
+      log_manager_->ForgetWalSegment(seq);
     }
   }
   return Status::OK();
@@ -519,10 +546,11 @@ size_t DB::SpillChains(TableId id) {
   // degraded mode that run could durably capture in-memory commits whose
   // WAL records never reached the disk — recovery would then resurrect
   // unacknowledged writes. No new durable artifacts past the failure.
-  if (tier_ == nullptr || read_only()) return 0;
+  if (!spilling() || read_only()) return 0;
   Table* t = catalog_.table(id);
   if (t == nullptr) return 0;
-  return t->SpillShards(txn_manager_->prune_horizon());
+  return t->SpillShards(tier_->LockProducers(),
+                        txn_manager_->prune_horizon());
 }
 
 size_t DB::PruneVersions(TableId id) {

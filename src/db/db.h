@@ -140,11 +140,15 @@ class DB {
  public:
   /// Open the engine. With LogOptions::wal_dir unset this is a fresh
   /// in-memory database and never fails. With wal_dir set, Open first runs
-  /// crash recovery against the directory — loads the newest complete
-  /// checkpoint and replays the WAL segments past it (tolerating a torn
-  /// tail record) — so every previously flushed commit is visible again
-  /// with its original commit timestamp. Fails with kCorruption/kIOError
-  /// when the directory's durable state is damaged beyond a torn tail.
+  /// crash recovery against the directory — reads the newest valid
+  /// checkpoint manifest, creates its tables, replays the WAL segments
+  /// past its watermark (tolerating a torn tail record) and registers
+  /// every run file, leaving the chains they hold evicted until a read
+  /// faults them back — so every previously flushed commit is visible
+  /// again with its original commit timestamp. Fails with
+  /// kCorruption/kIOError when the directory's durable state is damaged
+  /// beyond a torn tail (a damaged run, or manifests none of which
+  /// validates).
   static Status Open(const DBOptions& options, std::unique_ptr<DB>* db);
 
   ~DB();
@@ -172,23 +176,24 @@ class DB {
     return sessions_open_.load(std::memory_order_relaxed);
   }
 
-  /// Write a checkpoint of committed state at the current stable watermark
-  /// into wal_dir (durable mode only; kInvalidArgument otherwise). With
-  /// LogOptions::checkpoint_max_deltas > 0 and a base image already on
-  /// disk, this writes a *delta* image sweeping only versions committed
-  /// since the previous checkpoint (cold storage shards are skipped via
-  /// their max-commit-ts hints); every checkpoint_max_deltas-th image —
-  /// and the first one — is a full base that compacts the chain. Runs
-  /// concurrently with transactions — the sweep holds one storage-shard
-  /// latch at a time and never blocks the commit path. A call that finds
-  /// nothing committed since the previous image returns OK without
-  /// writing. After a base image, sealed WAL segments it covers are
+  /// Write the committed state at the current stable watermark W as a run
+  /// generation (durable mode only; kInvalidArgument otherwise): for each
+  /// table, one sorted run of every key's newest version <= W committed
+  /// since the previous checkpoint, tombstones included (shards no commit
+  /// touched since are skipped via their max-commit-ts hints). Then a
+  /// manifest naming W and the tables is written durably into wal_dir,
+  /// older manifests are dropped, the written tables' runs are compacted
+  /// when enough have piled up, and sealed WAL segments at or below W are
   /// garbage-collected from per-segment metadata counters alone — no
-  /// segment is ever re-read from disk.
+  /// segment is ever re-read from disk. Runs concurrently with
+  /// transactions — the sweep holds one storage-shard latch at a time and
+  /// never blocks the commit path; it does hold the tier's producer mutex,
+  /// so spills and compactions wait. A call that finds nothing committed
+  /// since the previous checkpoint returns OK without writing.
   Status Checkpoint();
 
-  /// Checkpoint images written (manual + background, base + delta) and
-  /// their total bytes — the ckpt.taken / ckpt.bytes_written counters.
+  /// Checkpoints written (manual + background) and their total bytes,
+  /// runs plus manifest — the ckpt.taken / ckpt.bytes_written counters.
   uint64_t checkpoints_taken() const {
     return checkpoints_taken_.load(std::memory_order_relaxed);
   }
@@ -242,7 +247,7 @@ class DB {
   /// cold committed chains move to a run file. Chains touched since the
   /// previous probe only have their clock bit cleared — call twice to
   /// spill a chain that was just written. Returns chains evicted; 0 when
-  /// the tier is disabled.
+  /// runtime spilling is off (buffer_pool_bytes == 0).
   size_t SpillChains(TableId table);
 
   // Internal subsystem access (tests, benchmarks).
@@ -251,7 +256,7 @@ class DB {
   ConflictTracker* conflict_tracker() { return tracker_.get(); }
   Catalog* catalog() { return &catalog_; }
   Table* table(TableId id) { return catalog_.table(id); }
-  /// Disk tier, or nullptr when disabled.
+  /// Disk tier (every durable engine has one), or nullptr.
   StorageTier* storage_tier() { return tier_.get(); }
 
  private:
@@ -284,6 +289,10 @@ class DB {
   /// read-only gate (first caller wins), tell the TxnManager to fail
   /// writing commits fast, and trace the transition.
   void EnterReadOnlyMode(const Status& cause);
+  /// Runtime spilling: a tier with a configured pool (buffer_pool_bytes).
+  bool spilling() const {
+    return tier_ != nullptr && options_.buffer_pool_bytes > 0;
+  }
 
   const DBOptions options_;
   /// Observability primitives. Declared before every subsystem (destroyed
@@ -314,20 +323,11 @@ class DB {
   std::atomic<uint64_t> versions_pruned_{0};
   /// Degraded-mode gate — see read_only().
   std::atomic<bool> read_only_{false};
-  /// Checkpoint images that failed on I/O (io.errors.checkpoint).
+  /// Checkpoints that failed on I/O (io.errors.checkpoint).
   std::atomic<uint64_t> checkpoint_io_errors_{0};
-  /// Serializes Checkpoint() calls (manual vs background interval) and
-  /// guards the chain bookkeeping below.
-  std::mutex checkpoint_write_mu_;
-  /// Watermark + captured table count of the newest base image: the
-  /// coverage cut for metadata-driven WAL GC (seeded from recovery).
-  Timestamp last_base_watermark_ = 0;
-  uint32_t last_base_table_count_ = 0;
-  /// Watermark of the newest image of any kind (the next delta's prev).
+  /// The newest checkpoint's watermark (seeded from recovery): the next
+  /// sweep's lower bound. Guarded by the tier's producer mutex.
   Timestamp last_checkpoint_watermark_ = 0;
-  /// Delta links written since the last base; at checkpoint_max_deltas the
-  /// next image compacts the chain into a fresh base.
-  uint32_t deltas_since_base_ = 0;
 
   std::mutex checkpointer_mu_;
   std::condition_variable checkpointer_cv_;

@@ -1,5 +1,5 @@
 // Env: the pluggable I/O seam under every durable artifact — WAL segments,
-// checkpoint images, run files and buffer-pool page I/O all route their
+// checkpoint manifests, run files and buffer-pool page I/O all route their
 // filesystem calls through an Env so tests can make the disk lie.
 //
 // Two implementations:

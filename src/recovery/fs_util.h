@@ -1,4 +1,4 @@
-// Filesystem helpers shared by the WAL and checkpoint writers, so the two
+// Filesystem helpers shared by the WAL, manifest and run writers, so the
 // durable artifact types keep identical error handling, fsync discipline
 // and file naming. All I/O routes through an io::Env (nullptr = the real
 // filesystem) so fault-injection tests can script failures.
@@ -29,7 +29,7 @@ Status WriteFileDurably(const std::string& path, const std::string& contents,
                         bool do_fsync, io::Env* env = nullptr);
 
 /// "<prefix><num, 20 digits><suffix>" — the durable-artifact name shape
-/// ("wal-….log", "checkpoint-….ckpt").
+/// ("wal-….log", "manifest-….mf").
 std::string NumberedFileName(const char* prefix, uint64_t num,
                              const char* suffix);
 

@@ -3,7 +3,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/wal.h"
 
 namespace ssidb::recovery {
@@ -21,7 +21,7 @@ Status ApplyRecord(const LogRecord& record, Timestamp checkpoint_ts,
     const RedoEntry& e = record.redo[0];
     TableId existing = 0;
     if (catalog->FindTable(e.key, &existing).ok()) {
-      return Status::OK();  // Already present (checkpoint or repeat replay).
+      return Status::OK();  // Already present (manifest or repeat replay).
     }
     TableId assigned = 0;
     Status st = catalog->CreateTable(e.key, &assigned);
@@ -58,30 +58,6 @@ Status ApplyRecord(const LogRecord& record, Timestamp checkpoint_ts,
   return Status::OK();
 }
 
-/// Install one checkpoint image (base or delta link) into the catalog.
-/// Tables are created idempotently; ids must come out dense and matching.
-Status ApplyCheckpointData(const CheckpointData& data, Catalog* catalog) {
-  for (const CheckpointTable& t : data.tables) {
-    TableId assigned = 0;
-    if (catalog->FindTable(t.name, &assigned).ok()) {
-      if (assigned != t.id) {
-        return Status::Corruption("checkpoint table id diverged");
-      }
-    } else {
-      Status st = catalog->CreateTable(t.name, &assigned);
-      if (!st.ok()) return st;
-      if (assigned != t.id) {
-        return Status::Corruption("checkpoint table ids not dense");
-      }
-    }
-    Table* table = catalog->table(assigned);
-    for (const CheckpointEntry& e : t.entries) {
-      table->RecoverVersion(e.key, e.value, e.tombstone, e.commit_ts);
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status Recover(const std::string& dir, Catalog* catalog,
@@ -91,30 +67,22 @@ Status Recover(const std::string& dir, Catalog* catalog,
   std::error_code ec;
   if (!std::filesystem::exists(dir, ec)) return Status::OK();
 
-  // 1. Checkpoint chain: the newest complete base plus every delta link
-  // that parses. A damaged link cuts the chain — the surviving prefix is
-  // still a consistent cut, and WAL replay (which starts after the cut)
-  // reinstalls everything the lost links held: segment GC only reclaims
-  // up to the *base* watermark, so the WAL past the base is always there.
-  LoadedCheckpointChain chain;
-  bool have_checkpoint = false;
-  Status st = LoadCheckpointChain(dir, &chain, &have_checkpoint);
+  // 1. The newest valid manifest: its tables, recreated in id order so
+  // WAL commit records (keyed by id) and run files bind to the same ids.
+  // Segment GC only reclaims up to a manifest's watermark after that
+  // manifest is durable, so the WAL past the chosen one is always there.
+  Manifest manifest;
+  bool have_manifest = false;
+  Status st = LoadNewestManifest(dir, &manifest, &have_manifest);
   if (!st.ok()) return st;
-  if (have_checkpoint) {
-    st = ApplyCheckpointData(chain.base, catalog);
-    if (!st.ok()) return st;
-    for (const CheckpointData& delta : chain.deltas) {
-      st = ApplyCheckpointData(delta, catalog);
+  if (have_manifest) {
+    for (const std::string& name : manifest.tables) {
+      TableId assigned = 0;
+      st = catalog->CreateTable(name, &assigned);
       if (!st.ok()) return st;
-      ++stats->delta_links_applied;
     }
-    stats->used_checkpoint = true;
-    stats->checkpoint_ts = chain.tip;
-    stats->base_watermark = chain.base.watermark;
-    stats->base_table_count =
-        static_cast<uint32_t>(chain.base.tables.size());
-    stats->chain_truncated = chain.truncated;
-    stats->max_commit_ts = chain.tip;
+    stats->checkpoint_ts = manifest.watermark;
+    stats->max_commit_ts = manifest.watermark;
   }
 
   // 2. WAL replay past the checkpoint.

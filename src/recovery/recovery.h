@@ -1,18 +1,18 @@
-// Crash recovery: rebuild committed state from the newest complete
-// checkpoint chain (base image + deltas) plus the WAL segments past it.
+// Crash recovery: rebuild committed state from the newest checkpoint
+// manifest plus the WAL segments past it.
 //
 // Protocol (DB::Open runs this before the engine accepts transactions):
-//   1. Load the newest complete base checkpoint, if any, and follow its
-//      delta chain as far as every link parses (LoadCheckpointChain): a
-//      damaged link cuts the chain there — the older consistent cut is
-//      used and WAL replay covers the difference. Tables are recreated in
-//      id order and every entry installed with its original commit
-//      timestamp (delta tombstones delete over the base state).
+//   1. Load the newest manifest whose CRC validates (LoadNewestManifest;
+//      a damaged newest one falls back to an older valid one, and
+//      manifests that all fail are kCorruption) and create its tables in
+//      id order. The checkpoint's data is not loaded here: it lives in
+//      run files, which the DB registers afterwards
+//      (StorageTier::RecoverRuns), leaving the covered chains evicted.
 //   2. Scan WAL segments in sequence order and replay records:
 //        - table creations are applied idempotently (skipped when the name
-//          already exists — e.g. it was in the checkpoint);
-//        - commit records at or below the checkpoint watermark are skipped
-//          (their effects are in the image); newer ones reinstall each
+//          already exists — e.g. it was in the manifest);
+//        - commit records at or below the manifest watermark are skipped
+//          (their effects are in the runs); newer ones reinstall each
 //          redo key's version, again idempotently, so replaying the same
 //          log twice — or a log overlapping the checkpoint — is harmless.
 //   3. A damaged record at the tail of the *newest* segment is the
@@ -47,25 +47,16 @@
 namespace ssidb::recovery {
 
 struct RecoveryStats {
-  bool used_checkpoint = false;
-  /// Watermark of the last usable checkpoint-chain link (base watermark
-  /// when no delta applied): WAL replay resumes after this cut.
+  /// Watermark of the manifest recovery started from (0: none): WAL
+  /// replay resumes after this cut.
   Timestamp checkpoint_ts = 0;
-  /// The base image the chain hangs off: its watermark and the table
-  /// count it captured (the create-watermark input for WAL segment GC).
-  Timestamp base_watermark = 0;
-  uint32_t base_table_count = 0;
-  /// Delta links applied on top of the base.
-  uint64_t delta_links_applied = 0;
-  /// A delta link existed but was damaged; the chain was cut before it.
-  bool chain_truncated = false;
   uint64_t segments_scanned = 0;
   uint64_t commit_records_applied = 0;
   uint64_t redo_entries_applied = 0;
   /// Replay ended at a damaged record in the newest segment (the normal
   /// post-crash shape when the flusher died mid-write).
   bool torn_tail = false;
-  /// Newest commit timestamp recovered (checkpoint watermark if the WAL
+  /// Newest commit timestamp recovered (manifest watermark if the WAL
   /// held nothing newer); 0 for a fresh directory.
   Timestamp max_commit_ts = 0;
   /// Per-segment metadata rebuilt from the one obligatory replay scan —

@@ -57,9 +57,6 @@ Status PwriteFull(io::Env* env, int fd, const void* buf, size_t n,
   return Status::OK();
 }
 
-uint64_t EntryEncodedBytes(const RunEntryView& e) {
-  return 4 + e.key.size() + 8 + 1 + 4 + e.value.size();
-}
 
 void EncodeEntry(std::string* dst, const RunEntryView& e) {
   PutLengthPrefixed(dst, e.key);
@@ -111,11 +108,16 @@ uint64_t RunFile::MaxEntryBytes(uint32_t page_bytes) {
   return page_bytes > kPageHeaderLen ? page_bytes - kPageHeaderLen : 0;
 }
 
+uint64_t RunFile::EncodedEntryBytes(size_t key_bytes, size_t value_bytes) {
+  // lp key, u64 commit_ts, u8 tombstone, lp value (EncodeEntry).
+  return 4 + key_bytes + 8 + 1 + 4 + value_bytes;
+}
+
 RunFile::RunFile(std::string path, std::shared_ptr<PoolFile> file,
                  uint32_t table_id, uint64_t seq, uint32_t page_bytes,
                  uint32_t page_count, uint64_t entry_count,
-                 std::vector<std::string> fences, BufferPool* pool,
-                 io::Env* env)
+                 uint64_t file_bytes, std::vector<std::string> fences,
+                 BufferPool* pool, io::Env* env)
     : path_(std::move(path)),
       file_(std::move(file)),
       table_id_(table_id),
@@ -123,6 +125,7 @@ RunFile::RunFile(std::string path, std::shared_ptr<PoolFile> file,
       page_bytes_(page_bytes),
       page_count_(page_count),
       entry_count_(entry_count),
+      file_bytes_(file_bytes),
       fences_(std::move(fences)),
       pool_(pool),
       env_(env) {}
@@ -183,9 +186,13 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     bool done = false;
     st = source(&e, &done);
     if (!st.ok() || done) break;
-    const uint64_t need = EntryEncodedBytes(e);
-    // StorageTier filters oversized entries.
-    assert(need <= MaxEntryBytes(page_bytes));
+    const uint64_t need = EncodedEntryBytes(e.key.size(), e.value.size());
+    if (need > MaxEntryBytes(page_bytes)) {
+      // Writes this large are rejected (StorageTier::EntryFits); only a
+      // version written under a larger run_page_bytes can get here.
+      st = Status::InvalidArgument("run entry larger than a page");
+      break;
+    }
     if (page.size() + need > page_bytes) {
       st = emit_page();
       if (!st.ok()) break;
@@ -224,7 +231,8 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     if (st.ok()) {
       out->reset(new RunFile(path, std::move(file), table_id, seq,
                              page_bytes, page_no, entry_count,
-                             std::move(fences), pool, env));
+                             footer_offset + footer.size(), std::move(fences),
+                             pool, env));
       return Status::OK();
     }
   }
@@ -332,8 +340,8 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
 
   pool->RegisterFile(file);
   out->reset(new RunFile(path, std::move(file), table_id, seq, page_bytes,
-                         page_count, entry_count, std::move(fences), pool,
-                         env));
+                         page_count, entry_count, size, std::move(fences),
+                         pool, env));
   return Status::OK();
 }
 

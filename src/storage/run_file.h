@@ -1,12 +1,13 @@
 // RunFile: an immutable sorted run — the on-disk home of spilled version
-// chains.
+// chains and of checkpoint cuts.
 //
-// A run holds one committed version per key (the chain's anchor at spill
-// time: key, commit_ts, tombstone flag, value), sorted by key, packed into
+// A run holds one committed version per key (a spilled chain's anchor, or
+// a key's newest version at a checkpoint watermark: key, commit_ts,
+// tombstone flag, value), sorted by key, packed into
 // fixed-size CRC-framed pages, with a fence-key sparse index in the footer
 // so a point lookup touches exactly one data page through the buffer pool.
-// A key may appear in several runs of a table (respilled after new
-// commits); lookups probe runs newest-first and stop at the first hit, and
+// A key may appear in several runs of a table (respilled or checkpointed
+// again after new commits); lookups probe runs newest-first and stop at the first hit, and
 // compaction merges a table's runs keeping the newest commit_ts per key.
 //
 // File layout (all integers big-endian via encoding.h):
@@ -28,7 +29,7 @@
 // Durability: the writer serializes into "<name>.tmp", writes data pages
 // through the buffer pool (dirty frames, flushed back before the fsync so
 // the pool's writeback path is the real write path), fsyncs, renames and
-// fsyncs the directory — the checkpoint writers' protocol. A run is only
+// fsyncs the directory. A run is only
 // opened if its header, trailer and footer CRC validate; data pages are
 // CRC-checked on every pool load parse.
 //
@@ -79,8 +80,10 @@ using RunEntrySource = std::function<Status(RunEntryView* next, bool* done)>;
 
 class RunFile {
  public:
-  /// Largest entry a page can hold; larger entries are never spilled.
+  /// Largest encoded entry a page can hold.
   static uint64_t MaxEntryBytes(uint32_t page_bytes);
+  /// Encoded size of an entry with this key and value.
+  static uint64_t EncodedEntryBytes(size_t key_bytes, size_t value_bytes);
 
   /// Write the run `source` yields (sorted by key) for table `table` into
   /// `path` and open it: the data pages flow through `pool` (written back
@@ -121,6 +124,8 @@ class RunFile {
   const std::string& path() const { return path_; }
   uint32_t page_count() const { return page_count_; }
   uint64_t entry_count() const { return entry_count_; }
+  /// Size of the file on disk (pages, footer and trailer).
+  uint64_t file_bytes() const { return file_bytes_; }
 
   /// Point lookup through the buffer pool: fence binary search picks the
   /// data page, the pinned page is CRC-checked and searched in place, and
@@ -163,8 +168,8 @@ class RunFile {
  private:
   RunFile(std::string path, std::shared_ptr<PoolFile> file, uint32_t table_id,
           uint64_t seq, uint32_t page_bytes, uint32_t page_count,
-          uint64_t entry_count, std::vector<std::string> fences,
-          BufferPool* pool, io::Env* env);
+          uint64_t entry_count, uint64_t file_bytes,
+          std::vector<std::string> fences, BufferPool* pool, io::Env* env);
 
   const std::string path_;
   const std::shared_ptr<PoolFile> file_;
@@ -173,6 +178,7 @@ class RunFile {
   const uint32_t page_bytes_;
   const uint32_t page_count_;
   const uint64_t entry_count_;
+  const uint64_t file_bytes_;
   /// fences_[i] = first key of data page i (file page i + 1).
   const std::vector<std::string> fences_;
   /// The pool this run is registered with (for unregistration on destroy).

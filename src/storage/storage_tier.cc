@@ -1,6 +1,7 @@
 #include "src/storage/storage_tier.h"
 
 #include <algorithm>
+#include <cassert>
 #include <filesystem>
 
 #include "src/obs/trace_ring.h"
@@ -15,7 +16,10 @@ StorageTier::StorageTier(const DBOptions& options, std::string dir)
     : options_(options),
       dir_(std::move(dir)),
       env_(io::ResolveEnv(options.env)),
-      pool_(options.buffer_pool_bytes, options.run_page_bytes, options.env) {}
+      pool_(options.buffer_pool_bytes > 0
+                ? options.buffer_pool_bytes
+                : kCheckpointPoolFrames * options.run_page_bytes,
+            options.run_page_bytes, options.env) {}
 
 StorageTier::~StorageTier() {
   // Run lists drop first (each RunFile purges its pool pages), then the
@@ -53,8 +57,11 @@ Status StorageTier::NoteIOError(const Status& st, uint32_t table_id) {
   return st;
 }
 
-Status StorageTier::WriteRun(uint32_t table_id,
-                             const std::vector<RunEntry>& entries) {
+Status StorageTier::WriteRun(const ProducerLock& producers, uint32_t table_id,
+                             const std::vector<RunEntry>& entries,
+                             uint64_t* bytes) {
+  assert(producers.mutex() == &producer_mu_ && producers.owns_lock());
+  (void)producers;
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t file_id =
       next_file_id_.fetch_add(1, std::memory_order_relaxed);
@@ -63,6 +70,7 @@ Status StorageTier::WriteRun(uint32_t table_id,
                               options_.run_page_bytes, entries, &pool_,
                               /*fsync=*/true, &run, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
+  if (bytes != nullptr) *bytes = run->file_bytes();
   std::unique_lock<std::shared_mutex> guard(runs_mu_);
   auto& list = runs_[table_id];
   list.insert(list.begin(), std::move(run));  // Newest first.
@@ -92,7 +100,10 @@ Status StorageTier::Lookup(uint32_t table_id, Slice key, RunEntry* out,
   return Status::OK();
 }
 
-Status StorageTier::MaybeCompact(uint32_t table_id) {
+Status StorageTier::MaybeCompact(const ProducerLock& producers,
+                                 uint32_t table_id) {
+  assert(producers.mutex() == &producer_mu_ && producers.owns_lock());
+  (void)producers;
   const uint32_t min_runs = std::max<uint32_t>(
       2, options_.run_compaction_min_runs);
   std::vector<std::shared_ptr<RunFile>> inputs;
@@ -123,23 +134,15 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
   // Publish the replacement and unlink the inputs. Only after the rename +
   // dir fsync above: a crash in between leaves both generations on disk,
   // which recovery resolves by commit_ts (the merged run carries the
-  // newest per key). The sweeper thread is the only run producer per
-  // table, so `inputs` is still exactly the list's tail.
+  // newest per key). The held producer mutex kept every other run writer
+  // out since `inputs` was copied, so the list is still exactly `inputs`.
   std::vector<std::shared_ptr<RunFile>> dead;
   {
     std::unique_lock<std::shared_mutex> guard(runs_mu_);
     auto& list = runs_[table_id];
-    dead.assign(list.begin() + static_cast<ptrdiff_t>(list.size()) -
-                    static_cast<ptrdiff_t>(inputs.size()),
-                list.end());
-    list.resize(list.size() - inputs.size());
+    assert(list.size() == inputs.size());
+    dead.swap(list);
     list.push_back(std::move(replacement));
-    // Keep newest-first: the replacement's seq exceeds every survivor's
-    // (runs that appeared since the snapshot sit at the front with lower
-    // seqs than the replacement only if written before it — sort settles
-    // it either way).
-    std::sort(list.begin(), list.end(),
-              [](const auto& a, const auto& b) { return a->seq() > b->seq(); });
   }
   for (const std::shared_ptr<RunFile>& run : dead) {
     env_->RemoveFile(run->path());  // In-flight faulters read the open fd.

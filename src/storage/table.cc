@@ -80,7 +80,7 @@ void Table::MaybeSplit(const std::string& hint_key) {
   std::advance(mid, shard.index.size() / 2);
   auto right = std::make_unique<Shard>(mid->first);
   // Both halves inherit the parent's commit hint: an overstated hint only
-  // costs a visit, an understated one would hide commits from delta sweeps.
+  // costs a visit, an understated one would hide commits from checkpoint sweeps.
   right->max_commit_ts.store(
       shard.max_commit_ts.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -209,9 +209,9 @@ Status Table::FaultChain(Slice key, VersionChain* chain) {
   return Status::OK();
 }
 
-size_t Table::SpillShards(Timestamp horizon) {
+size_t Table::SpillShards(const std::unique_lock<std::mutex>& producers,
+                          Timestamp horizon) {
   if (tier_ == nullptr || horizon == 0) return 0;
-  const uint64_t max_entry = tier_->max_entry_bytes();
   // Phase A: probe under the shard latches (lock order shard -> chain, the
   // same as every reader). ForEachChain walks shards in range order, so
   // `entries` comes out sorted by key — ready for RunFile::Create.
@@ -219,13 +219,8 @@ size_t Table::SpillShards(Timestamp horizon) {
   std::vector<VersionChain*> chains;
   size_t evicted = 0;
   ForEachChain([&](const std::string& key, VersionChain* chain) {
-    // Conservative per-entry encoding overhead (two varint32 length
-    // prefixes, u64 commit_ts, tombstone byte): 32 bytes covers it.
-    const uint64_t overhead = key.size() + 32;
-    const uint64_t max_value = overhead >= max_entry ? 0 : max_entry - overhead;
     RunEntry e;
-    switch (chain->SpillProbe(horizon, max_value, &e.value, &e.commit_ts,
-                              &e.tombstone)) {
+    switch (chain->SpillProbe(horizon, &e.value, &e.commit_ts, &e.tombstone)) {
       case VersionChain::SpillAction::kSkip:
         break;
       case VersionChain::SpillAction::kDropNow:
@@ -242,7 +237,7 @@ size_t Table::SpillShards(Timestamp horizon) {
   // each chain; a chain touched since its probe stays resident and retries
   // as kDropNow on a later sweep (its anchor is durable now).
   if (!entries.empty()) {
-    if (tier_->WriteRun(id_, entries).ok()) {
+    if (tier_->WriteRun(producers, id_, entries).ok()) {
       for (size_t i = 0; i < entries.size(); ++i) {
         if (chains[i]->CommitSpill(entries[i].commit_ts)) ++evicted;
       }

@@ -35,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -110,7 +111,7 @@ class Table {
   /// Filtered overload for incremental sweeps: visit only entries of
   /// shards whose per-shard max-commit-ts hint is > `since` — a shard no
   /// commit has touched past `since` is skipped without taking its latch,
-  /// so a delta checkpoint over a cold table costs one routing-latch
+  /// so a checkpoint over a cold table costs one routing-latch
   /// acquisition. The hint is maintained by NoteCommit/RecoverVersion and
   /// is conservative (splits copy it to both halves), so a skipped shard
   /// provably holds no version with commit_ts > since; a visited shard may
@@ -132,7 +133,7 @@ class Table {
   size_t PruneShards(Timestamp min_read_ts);
 
   /// Recovery bulk reload: install a committed version with its original
-  /// commit timestamp (checkpoint load / WAL replay). Idempotent — see
+  /// commit timestamp (WAL replay). Idempotent — see
   /// VersionChain::InstallRecovered.
   void RecoverVersion(Slice key, Slice value, bool tombstone,
                       Timestamp commit_ts);
@@ -151,11 +152,14 @@ class Table {
   /// Two-phase spill sweep (DB sweeper thread, after PruneShards): probe
   /// every chain under the shard latch (phase A, collecting cold anchors
   /// below `horizon` in key order), durably write them as one run, then
-  /// re-verify and evict each chain (phase B). Returns chains evicted.
-  size_t SpillShards(Timestamp horizon);
+  /// re-verify and evict each chain (phase B). `producers` is the tier's
+  /// held producer lock (StorageTier::LockProducers), covering both
+  /// phases. Returns chains evicted.
+  size_t SpillShards(const std::unique_lock<std::mutex>& producers,
+                     Timestamp horizon);
 
   /// Recovery: a run file durably holds `key` at `commit_ts`. Marks the
-  /// chain evicted unless WAL/checkpoint replay installed something newer
+  /// chain evicted unless WAL replay installed something as new or newer
   /// (see VersionChain::SetEvictedRecovered).
   void RecoverEvicted(Slice key, Timestamp commit_ts);
 

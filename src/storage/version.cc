@@ -160,7 +160,6 @@ size_t VersionChain::size() const {
 }
 
 VersionChain::SpillAction VersionChain::SpillProbe(Timestamp horizon,
-                                                   uint64_t max_value_bytes,
                                                    std::string* value,
                                                    Timestamp* commit_ts,
                                                    bool* tombstone) {
@@ -186,9 +185,6 @@ VersionChain::SpillAction VersionChain::SpillProbe(Timestamp horizon,
     FreeAllLocked();
     evicted_ = true;
     return SpillAction::kDropNow;
-  }
-  if (max_value_bytes == 0 || newest_->value.size() > max_value_bytes) {
-    return SpillAction::kSkip;  // Oversized for a run page: stays resident.
   }
   *value = newest_->value;
   *commit_ts = cts;
@@ -239,7 +235,7 @@ void VersionChain::SetEvictedRecovered(Timestamp cts) {
   spilled_cts_ = cts;
   if (newest_ != nullptr &&
       newest_->commit_ts.load(std::memory_order_relaxed) >= cts) {
-    // WAL/checkpoint replay installed this version (or a newer one): the
+    // WAL replay installed this version (or a newer one): the
     // resident copy wins; the run entry is merely its durable twin.
     return;
   }

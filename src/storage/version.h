@@ -159,16 +159,16 @@ class VersionChain {
   /// Phase A of the two-phase spill. Cold test: skips (clearing the
   /// accessed bit — second-chance) if the chain was touched since the last
   /// probe, has an uncommitted head, or its newest committed version is
-  /// newer than `horizon` or larger than `max_value_bytes`. If the anchor's
+  /// newer than `horizon`. (Every committed version fits a run page:
+  /// oversized writes are rejected at the boundary.) If the anchor's
   /// commit_ts equals spilled_cts_ it is already durable and the chain is
   /// evicted inline (kDropNow). Otherwise copies the anchor out for the
   /// caller to persist (kWrite). A hybrid chain — evicted but carrying
   /// resident versions installed by an upsert that never faulted the old
   /// anchor in — re-spills the same way: its newest committed version
   /// becomes the new anchor and shadows the stale run entry.
-  SpillAction SpillProbe(Timestamp horizon, uint64_t max_value_bytes,
-                         std::string* value, Timestamp* commit_ts,
-                         bool* tombstone);
+  SpillAction SpillProbe(Timestamp horizon, std::string* value,
+                         Timestamp* commit_ts, bool* tombstone);
 
   /// Phase B: called after the run holding the anchor (commit_ts `cts`) is
   /// durable. Re-verifies under the latch that the chain is still exactly
@@ -185,7 +185,7 @@ class VersionChain {
   void FaultInstall(Timestamp cts, Slice value, bool tombstone);
 
   /// Recovery (single-threaded, quiescent): a run holds `cts` for this
-  /// key. If the WAL/checkpoint replay already installed a version at or
+  /// key. If WAL replay already installed a version at or
   /// past `cts`, the resident copy wins and the run entry is just recorded
   /// as durable; otherwise the chain is emptied and marked evicted so the
   /// run stays its home (no RAM cost on open).

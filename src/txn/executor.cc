@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/encoding.h"
+#include "src/storage/storage_tier.h"
 
 namespace ssidb {
 
@@ -355,6 +356,12 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   if (key.empty()) return Status::InvalidArgument("empty key");
+  // With a storage tier every committed version must fit one run page:
+  // runs are where spills and checkpoints put it.
+  if (const StorageTier* tier = t->storage_tier();
+      tier != nullptr && !tier->EntryFits(key, value)) {
+    return Status::InvalidArgument("entry larger than a run page");
+  }
   TxnState* state = txn.state.get();
 
   const bool new_index_entry = t->Find(key) == nullptr;

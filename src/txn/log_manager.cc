@@ -174,6 +174,10 @@ Lsn LogManager::Append(LogRecord record) {
 
 Status LogManager::WaitFlushed(Lsn lsn) {
   if (!options_.flush_on_commit) return Status::OK();
+  return WaitDurable(lsn);
+}
+
+Status LogManager::WaitDurable(Lsn lsn) {
   std::unique_lock<std::mutex> guard(mu_);
   flushed_cv_.wait(guard, [&] { return flushed_lsn_ >= lsn || stop_.load(); });
   return io_status_;

@@ -130,6 +130,16 @@ class LogManager {
   /// wait reports it — the in-memory commit stands, but it is not durable.
   Status WaitFlushed(Lsn lsn);
 
+  /// The LSN of the newest appended record (0 before the first).
+  Lsn appended_lsn() const {
+    return next_lsn_.load(std::memory_order_relaxed) - 1;
+  }
+
+  /// Durable mode: block until a flush covering `lsn` completed, whatever
+  /// flush_on_commit says — the write-ahead rule a checkpoint keeps before
+  /// its runs reach the disk. Returns the sticky I/O status.
+  Status WaitDurable(Lsn lsn);
+
   /// Flush-subscription callback: receives the sticky I/O status as of the
   /// covering flush (WaitFlushed's return value, without the block).
   using FlushCallback = std::function<void(Status)>;

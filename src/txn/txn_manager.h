@@ -253,7 +253,7 @@ class TxnManager {
   /// re-read the watermark, and repeat until it did not move past the
   /// floor (see BeginCheckpointSweep for the seq_cst ordering argument
   /// that makes prune_horizon() airtight). Sweeps are serialized by the
-  /// caller (DB::checkpoint_write_mu_).
+  /// caller (the storage tier's producer mutex, DB::Checkpoint).
   Timestamp BeginCheckpointSweep();
   /// Leave the sweep: lifts the floor.
   void EndCheckpointSweep();
@@ -262,8 +262,8 @@ class TxnManager {
   /// in-progress checkpoint sweep's watermark. Without the cap, a pruner
   /// whose horizon ran past the sweep watermark W could delete a key's
   /// newest version <= W (because a newer one exists) before the sweep
-  /// reads that chain — silently dropping a committed key from the image
-  /// whose cut claims to cover it. Why the cap is race-free: every
+  /// reads that chain — silently dropping a committed key from a cut that
+  /// claims to cover it. Why the cap is race-free: every
   /// watermark advance, floor store, and min-active store/load involved is
   /// seq_cst, so they have one total order S. BeginCheckpointSweep returns
   /// W only after a floor(W) store F followed by a watermark load that

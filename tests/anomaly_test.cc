@@ -125,7 +125,9 @@ TEST(WriteSkewTest, SerializableSSIPreventsIt) {
   const AbortReason victim = c1.ok() ? fx.cause2 : fx.cause1;
   EXPECT_TRUE(IsSsiReason(victim)) << AbortReasonName(victim);
   const TxnId conflict = c1.ok() ? fx.conflict2 : fx.conflict1;
-  if (conflict != 0) EXPECT_EQ(conflict, c1.ok() ? fx.id1 : fx.id2);
+  if (conflict != 0) {
+    EXPECT_EQ(conflict, c1.ok() ? fx.id1 : fx.id2);
+  }
   EXPECT_EQ(c1.ok() ? fx.cause1 : fx.cause2, AbortReason::kNone);
   EXPECT_EQ(CounterOf(f.db.get(),
                       std::string("abort.") + AbortReasonName(victim)),

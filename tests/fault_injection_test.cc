@@ -9,9 +9,10 @@
 //     the page content — retries are bounded, the dirty bit survives, and
 //     clearing the fault lets the next flush land the original bytes;
 //   * EIO mid-spill leaves every chain resident and readable;
-//   * ENOSPC mid-checkpoint or mid-run-creation removes the partial .tmp,
-//     leaves the previous durable chain loadable, and the next attempt
-//     (after the disk heals) resumes cleanly;
+//   * ENOSPC mid-checkpoint (its run or its manifest) or mid-run-creation
+//     removes the partial .tmp, leaves the previous checkpoint's state
+//     loadable, and the next attempt (after the disk heals) resumes
+//     cleanly;
 //   * after a seeded multi-fault schedule, clearing the faults and
 //     reopening recovers every acknowledged-OK commit with its original
 //     commit timestamp.
@@ -217,10 +218,11 @@ TEST(FaultInjectionTest, EIOMidSpillKeepsChainsResident) {
   }
 }
 
-TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
+TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorCutLoadable) {
   ScratchDir dir;
   FaultInjectingEnv env;
   const std::string wal_dir = dir.path + "/wal";
+  const std::string run_dir = wal_dir + "/runs";
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(FaultOptions(dir.path, &env), &db).ok());
   TableId t = 0;
@@ -231,41 +233,58 @@ TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
     ASSERT_TRUE(CommitPut(db.get(), t, key, "v:" + key, &c).ok());
     cts[key] = c;
   };
+  // Reopen on the healed disk: the previous manifest plus WAL replay (and
+  // whatever runs were published) recover everything acked, with the
+  // original commit timestamps.
+  auto reopen_and_check = [&] {
+    db.reset();
+    env.ClearFaults();
+    ASSERT_TRUE(DB::Open(FaultOptions(dir.path, &env), &db).ok());
+    ASSERT_TRUE(db->FindTable("t", &t).ok());
+    for (const auto& [key, c] : cts) {
+      std::string v;
+      auto txn = db->Begin({IsolationLevel::kSnapshot});
+      ASSERT_TRUE(txn->Get(t, key, &v).ok()) << key;
+      EXPECT_EQ(v, "v:" + key);
+      txn->Commit();
+      Timestamp got = 0;
+      bool tomb = true;
+      ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, &tomb));
+      EXPECT_EQ(got, c) << key;
+    }
+  };
   put("a");
   put("b");
-  ASSERT_TRUE(db->Checkpoint().ok());  // Healthy base image.
+  ASSERT_TRUE(db->Checkpoint().ok());  // Healthy first cut.
   put("c");
 
-  // ENOSPC mid-image: skip=1 lets the O_CREAT open of the .tmp through,
-  // so the failure lands mid-write with a partial file on disk — which
-  // the checkpoint writer must remove.
-  env.InjectFault(FaultKind::kNoSpace, ".ckpt", /*skip=*/1, /*count=*/1);
+  // ENOSPC mid-run: skip=1 lets the O_CREAT open of the run's .tmp
+  // through, so the failure lands mid-write with a partial file on disk —
+  // which the run writer must remove. (buffer_pool_bytes is 0: only
+  // checkpoints write runs here.)
+  env.InjectFault(FaultKind::kNoSpace, "run-", /*skip=*/1, /*count=*/1);
   Status st = db->Checkpoint();
   ASSERT_TRUE(st.IsIOError()) << st.ToString();
-  EXPECT_FALSE(DirHasTmpFile(wal_dir)) << "partial .tmp must be removed";
+  EXPECT_FALSE(DirHasTmpFile(run_dir)) << "partial run .tmp must be removed";
+  EXPECT_FALSE(DirHasTmpFile(wal_dir));
   EXPECT_GE(CounterValue(db.get(), "io.errors.checkpoint"), 1u);
+  reopen_and_check();
 
-  // The previous chain is untouched: reopening right now loads the base
-  // image plus WAL replay and recovers everything acked.
-  db.reset();
-  env.ClearFaults();
-  ASSERT_TRUE(DB::Open(FaultOptions(dir.path, &env), &db).ok());
-  ASSERT_TRUE(db->FindTable("t", &t).ok());
-  for (const auto& [key, c] : cts) {
-    std::string v;
-    auto txn = db->Begin({IsolationLevel::kSnapshot});
-    ASSERT_TRUE(txn->Get(t, key, &v).ok()) << key;
-    EXPECT_EQ(v, "v:" + key);
-    txn->Commit();
-    Timestamp got = 0;
-    bool tomb = true;
-    ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, &tomb));
-    EXPECT_EQ(got, c) << key;
-  }
-  // The next checkpoint resumes the chain where the failed one left off.
+  // ENOSPC mid-manifest: the new run is published, the manifest write
+  // fails; the previous manifest still names the recovered cut.
   put("d");
+  env.InjectFault(FaultKind::kNoSpace, "manifest-", /*skip=*/1, /*count=*/1);
+  st = db->Checkpoint();
+  ASSERT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_FALSE(DirHasTmpFile(wal_dir)) << "partial manifest .tmp removed";
+  EXPECT_FALSE(DirHasTmpFile(run_dir));
+  reopen_and_check();
+
+  // The next checkpoint resumes where the failed ones left off.
+  put("e");
   EXPECT_TRUE(db->Checkpoint().ok());
-  EXPECT_GE(db->checkpoints_taken(), 1u);
+  EXPECT_EQ(db->checkpoints_taken(), 1u);
+  reopen_and_check();
 }
 
 TEST(FaultInjectionTest, ENOSPCRunCreationCleansUpTmp) {
@@ -366,7 +385,8 @@ TEST(FaultInjectionTest, BufferPoolWritebackEIOKeepsPageContent) {
 }
 
 // The capstone: a seeded schedule injects an EIO mid-spill, an ENOSPC
-// mid-checkpoint and a WAL fsync failure mid-run, in one process life.
+// mid-checkpoint (its manifest) and a WAL fsync failure mid-run, in one
+// process life.
 // Every commit acknowledged OK must survive the subsequent heal + reopen
 // with its original commit timestamp; the fsync failure must flip the DB
 // read-only for the remainder of the run.
@@ -377,7 +397,7 @@ TEST(FaultInjectionTest, ScheduledMultiFaultRunRecoversAckedCommits) {
   // commits 1..11, #13 (commit 12) fails and poisons the log.
   env.InjectFault(FaultKind::kFsyncError, "wal-", /*skip=*/12, /*count=*/1);
   env.InjectFault(FaultKind::kWriteError, "run-", /*skip=*/2, /*count=*/1);
-  env.InjectFault(FaultKind::kNoSpace, ".ckpt", /*skip=*/1, /*count=*/1);
+  env.InjectFault(FaultKind::kNoSpace, "manifest-", /*skip=*/1, /*count=*/1);
 
   std::map<std::string, Timestamp> acked;
   {

@@ -1,5 +1,5 @@
-// Durability subsystem tests: WAL segment format, checkpoint images, and
-// the crash-recovery kill-point matrix.
+// Durability subsystem tests: WAL segment format, checkpoint manifests and
+// run generations, and the crash-recovery kill-point matrix.
 //
 // The kill-point tests fork a child process that opens a DB on a WAL
 // directory, commits transactions, reports each *acknowledged* commit to
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -34,7 +35,7 @@
 #include "src/common/encoding.h"
 #include "src/db/db.h"
 #include "src/db/session.h"
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/recovery.h"
 #include "src/recovery/wal.h"
 #include "src/workloads/sibench.h"
@@ -175,14 +176,52 @@ std::vector<uint64_t> PresentTxns(DB* db, TableId t, uint64_t max_seq) {
   return present;
 }
 
-/// (name, size) of every file in `dir` — for asserting recovery writes
-/// nothing.
+/// (relative path, size) of every file under `dir` (the WAL directory and
+/// its runs/ subdirectory) — for asserting recovery writes nothing.
 std::map<std::string, uintmax_t> DirContents(const std::string& dir) {
   std::map<std::string, uintmax_t> out;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    out[entry.path().filename().string()] = fs::file_size(entry.path());
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    out[fs::relative(entry.path(), dir).string()] =
+        fs::file_size(entry.path());
   }
   return out;
+}
+
+/// Paths of the files in `dir` whose names start with `prefix`, sorted.
+std::vector<std::string> FilesWithPrefix(const std::string& dir,
+                                         const std::string& prefix) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      out.push_back(entry.path().string());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The run files (complete ones: "run-….run") a durable engine at `dir`
+/// keeps in its default run directory.
+std::vector<std::string> RunFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const std::string& path : FilesWithPrefix(dir + "/runs", "run-")) {
+    if (fs::path(path).extension() == ".run") out.push_back(path);
+  }
+  return out;
+}
+
+/// XOR one byte in the middle of `path`: guaranteed to change it.
+void FlipMiddleByte(const std::string& path) {
+  FILE* f = fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const long mid = static_cast<long>(fs::file_size(path) / 2);
+  fseek(f, mid, SEEK_SET);
+  const int original = fgetc(f);
+  fseek(f, mid, SEEK_SET);
+  fputc(original ^ 0x5a, f);
+  fclose(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,82 +314,68 @@ TEST(WalTest, TornTailStopsScanCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint images.
+// Checkpoint manifests.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointTest, WriteLoadRoundTrip) {
+TEST(ManifestTest, WriteLoadRoundTrip) {
   TempDir dir;
-  Catalog catalog;
-  TableId accounts = 0, audit = 0;
-  ASSERT_TRUE(catalog.CreateTable("accounts", &accounts).ok());
-  ASSERT_TRUE(catalog.CreateTable("audit", &audit).ok());
-  catalog.table(accounts)->RecoverVersion("alice", "100", false, 5);
-  catalog.table(accounts)->RecoverVersion("bob", "200", false, 7);
-  // A tombstone at the watermark: the key is omitted from the image.
-  catalog.table(accounts)->RecoverVersion("carol", "", true, 8);
-  // Committed after the watermark: invisible to the sweep.
-  catalog.table(audit)->RecoverVersion("evt1", "late", false, 50);
-
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, /*watermark=*/10,
-                                        /*prev_watermark=*/0, dir.path, false)
-                  .ok());
-
-  recovery::CheckpointData data;
-  bool found = false;
+  recovery::Manifest written;
+  written.watermark = 10;
+  written.tables = {"accounts", "audit"};
+  uint64_t bytes = 0;
   ASSERT_TRUE(
-      recovery::LoadLatestCheckpoint(dir.path, &data, &found).ok());
+      recovery::WriteManifest(dir.path, written, false, nullptr, &bytes).ok());
+  EXPECT_EQ(bytes, fs::file_size(dir.path + "/" +
+                                 recovery::ManifestFileName(10)));
+  recovery::Manifest loaded;
+  bool found = false;
+  ASSERT_TRUE(recovery::LoadNewestManifest(dir.path, &loaded, &found).ok());
   ASSERT_TRUE(found);
-  EXPECT_EQ(data.watermark, 10u);
-  ASSERT_EQ(data.tables.size(), 2u);
-  EXPECT_EQ(data.tables[0].name, "accounts");
-  ASSERT_EQ(data.tables[0].entries.size(), 2u);  // carol's tombstone omitted
-  EXPECT_EQ(data.tables[0].entries[0].key, "alice");
-  EXPECT_EQ(data.tables[0].entries[0].value, "100");
-  EXPECT_EQ(data.tables[0].entries[0].commit_ts, 5u);
-  EXPECT_EQ(data.tables[1].name, "audit");
-  EXPECT_TRUE(data.tables[1].entries.empty());  // ts 50 > watermark 10
+  EXPECT_EQ(loaded.watermark, 10u);
+  EXPECT_EQ(loaded.tables, written.tables);
+
+  // A newer manifest supersedes it; dropping older ones leaves one file.
+  written.watermark = 20;
+  written.tables.push_back("orders");
+  ASSERT_TRUE(
+      recovery::WriteManifest(dir.path, written, false, nullptr, nullptr)
+          .ok());
+  ASSERT_TRUE(recovery::DropManifestsBefore(dir.path, 20, nullptr));
+  EXPECT_EQ(FilesWithPrefix(dir.path, "manifest-").size(), 1u);
+  ASSERT_TRUE(recovery::LoadNewestManifest(dir.path, &loaded, &found).ok());
+  EXPECT_EQ(loaded.watermark, 20u);
+  EXPECT_EQ(loaded.tables.size(), 3u);
 }
 
-TEST(CheckpointTest, DamagedNewerImageFallsBackToOlderValid) {
+TEST(ManifestTest, DamagedNewestFallsBackToOlderValidElseCorruption) {
   TempDir dir;
-  Catalog catalog;
-  TableId t = 0;
-  ASSERT_TRUE(catalog.CreateTable("t", &t).ok());
-  catalog.table(t)->RecoverVersion("k", "v", false, 3);
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, 5, 0, dir.path, false).ok());
-
-  // A "newer" checkpoint that a crash cut short: a valid prefix with no
-  // footer, plus an abandoned .tmp. Neither may be trusted.
-  const std::string valid =
-      dir.path + "/" + recovery::CheckpointFileName(5);
-  std::string prefix;
+  recovery::Manifest m;
+  m.tables = {"t"};
+  m.watermark = 5;
+  ASSERT_TRUE(recovery::WriteManifest(dir.path, m, false, nullptr, nullptr)
+                  .ok());
+  m.watermark = 9;
+  ASSERT_TRUE(recovery::WriteManifest(dir.path, m, false, nullptr, nullptr)
+                  .ok());
+  // A stranded .tmp from a crashed write is never consulted.
   {
-    FILE* f = fopen(valid.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    const size_t n = fread(buf, 1, sizeof(buf), f);
-    fclose(f);
-    prefix.assign(buf, n / 2);
-  }
-  const std::string torn =
-      dir.path + "/" + recovery::CheckpointFileName(99);
-  {
-    FILE* f = fopen(torn.c_str(), "wb");
-    fwrite(prefix.data(), 1, prefix.size(), f);
+    FILE* f = fopen((dir.path + "/" + recovery::ManifestFileName(12) + ".tmp")
+                        .c_str(),
+                    "wb");
+    fputs("partial", f);
     fclose(f);
   }
-  {
-    FILE* f = fopen((torn + ".tmp").c_str(), "wb");
-    fwrite(prefix.data(), 1, prefix.size(), f);
-    fclose(f);
-  }
-
-  recovery::CheckpointData data;
+  FlipMiddleByte(dir.path + "/" + recovery::ManifestFileName(9));
+  recovery::Manifest loaded;
   bool found = false;
-  ASSERT_TRUE(
-      recovery::LoadLatestCheckpoint(dir.path, &data, &found).ok());
+  ASSERT_TRUE(recovery::LoadNewestManifest(dir.path, &loaded, &found).ok());
   ASSERT_TRUE(found);
-  EXPECT_EQ(data.watermark, 5u);  // The torn watermark-99 image was skipped.
+  EXPECT_EQ(loaded.watermark, 5u);  // The damaged watermark-9 one skipped.
+
+  // With no valid manifest left, recovery must refuse, not start empty.
+  FlipMiddleByte(dir.path + "/" + recovery::ManifestFileName(5));
+  EXPECT_TRUE(
+      recovery::LoadNewestManifest(dir.path, &loaded, &found).IsCorruption());
 }
 
 // ---------------------------------------------------------------------------
@@ -544,8 +569,8 @@ TEST(RecoveryTest, CheckpointGarbageCollectsCoveredSegments) {
   EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
   std::vector<std::string> after;
   ASSERT_TRUE(recovery::ListWalSegments(dir.path, &after).ok());
-  // Every sealed segment is covered by the base image — including the
-  // first one, whose table-create record binds an id the image captured
+  // Every sealed segment is covered by the checkpoint — including the
+  // first one, whose table-create record binds an id the manifest names
   // (the create-watermark rule). Only the flusher's live (highest)
   // segment survives.
   EXPECT_LT(after.size(), before.size());
@@ -559,7 +584,7 @@ TEST(RecoveryTest, CheckpointGarbageCollectsCoveredSegments) {
   // The pruned directory still recovers everything.
   std::unique_ptr<DB> reopened;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &reopened).ok());
-  EXPECT_TRUE(reopened->recovery_stats().used_checkpoint);
+  EXPECT_GT(reopened->recovery_stats().checkpoint_ts, 0u);
   ASSERT_TRUE(reopened->FindTable("t", &t).ok());
   auto txn = reopened->Begin({IsolationLevel::kSnapshot});
   std::string v;
@@ -609,58 +634,21 @@ TEST(WalTest, SegmentMetadataTracksCommitsAndCreates) {
   EXPECT_EQ(max_created_id, 3u);
 }
 
-TEST(CheckpointTest, DeltaRoundTripChainsOffBaseWithTombstones) {
-  TempDir dir;
-  Catalog catalog;
-  TableId t = 0;
-  ASSERT_TRUE(catalog.CreateTable("t", &t).ok());
-  catalog.table(t)->RecoverVersion("a", "1", false, 5);
-  catalog.table(t)->RecoverVersion("c", "x", false, 4);
-  // Base at watermark 10 captures a@5 and c@4.
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, 10, 0, dir.path, false).ok());
-  // Window (10, 20]: b inserted, c deleted; a untouched.
-  catalog.table(t)->RecoverVersion("b", "2", false, 12);
-  catalog.table(t)->RecoverVersion("c", "", true, 13);
-  recovery::CheckpointWriteResult res;
-  ASSERT_TRUE(
-      recovery::WriteCheckpoint(catalog, 20, /*prev=*/10, dir.path, false,
-                                &res)
-          .ok());
-  EXPECT_EQ(res.entries, 2u);  // b + c's tombstone; a is in the base cut.
-
-  recovery::LoadedCheckpointChain chain;
-  bool found = false;
-  ASSERT_TRUE(recovery::LoadCheckpointChain(dir.path, &chain, &found).ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(chain.base.watermark, 10u);
-  ASSERT_EQ(chain.deltas.size(), 1u);
-  EXPECT_EQ(chain.tip, 20u);
-  EXPECT_FALSE(chain.truncated);
-  const recovery::CheckpointData& delta = chain.deltas[0];
-  EXPECT_EQ(delta.prev_watermark, 10u);
-  ASSERT_EQ(delta.tables.size(), 1u);
-  ASSERT_EQ(delta.tables[0].entries.size(), 2u);
-  EXPECT_EQ(delta.tables[0].entries[0].key, "b");
-  EXPECT_EQ(delta.tables[0].entries[0].value, "2");
-  EXPECT_FALSE(delta.tables[0].entries[0].tombstone);
-  EXPECT_EQ(delta.tables[0].entries[1].key, "c");
-  EXPECT_TRUE(delta.tables[0].entries[1].tombstone);
-  EXPECT_EQ(delta.tables[0].entries[1].commit_ts, 13u);
-}
-
-TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
+TEST(RecoveryTest, SecondCheckpointIsIncrementalAndGcScanFree) {
   TempDir dir;
   constexpr int kKeys = 1200;
   constexpr int kTouched = 9;
+  const std::string pad(48, 'v');
+  const std::string deleted = "key" + std::to_string(kKeys - 1);
   DBOptions opts = DurableOptions(dir.path, /*flush=*/false);
-  opts.log.checkpoint_max_deltas = 8;
-  uint64_t base_bytes = 0, delta_bytes = 0;
+  opts.run_page_bytes = 4096;
+  uint64_t first_bytes = 0, second_bytes = 0;
+  Timestamp touch_cts = 0;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
     TableId t = 0;
     ASSERT_TRUE(db->CreateTable("t", &t).ok());
-    const std::string pad(48, 'v');
     for (int i = 0; i < kKeys; i += 100) {
       auto txn = db->Begin();
       for (int j = i; j < i + 100; ++j) {
@@ -669,288 +657,226 @@ TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
       ASSERT_TRUE(txn->Commit().ok());
     }
     const uint64_t scans_before = recovery::ScanWalSegmentCalls();
-    ASSERT_TRUE(db->Checkpoint().ok());  // First image: a full base, O(N).
-    base_bytes = db->checkpoint_bytes_written();
+    ASSERT_TRUE(db->Checkpoint().ok());  // First cut: every key, O(N).
+    first_bytes = db->checkpoint_bytes_written();
     auto touch = db->Begin();
     for (int j = 0; j < kTouched; ++j) {
       ASSERT_TRUE(
           touch->Put(t, "key" + std::to_string(j), "updated").ok());
     }
+    ASSERT_TRUE(touch->Delete(t, deleted).ok());
     ASSERT_TRUE(touch->Commit().ok());
-    ASSERT_TRUE(db->Checkpoint().ok());  // Second image: a delta, O(k).
-    delta_bytes = db->checkpoint_bytes_written() - base_bytes;
-    // Incrementality, demonstrated: the delta after touching k of N keys
-    // is a small fraction of the base sweep.
-    EXPECT_GT(delta_bytes, 0u);
-    EXPECT_LT(delta_bytes * 20, base_bytes);
+    touch_cts = touch->commit_ts();
+    ASSERT_TRUE(db->Checkpoint().ok());  // Second cut: the k changed keys.
+    second_bytes = db->checkpoint_bytes_written() - first_bytes;
+    // Incrementality: after touching k of N keys the run generation is
+    // one data page (plus the run's header page, footer and the manifest),
+    // a small fraction of the first sweep's ~20 pages.
+    EXPECT_GT(second_bytes, 0u);
+    EXPECT_LT(second_bytes, 3u * opts.run_page_bytes);
+    EXPECT_LT(second_bytes * 8, first_bytes);
+    EXPECT_EQ(db->storage_tier()->run_count(t), 2u);
     // O(1) GC: no ScanWalSegment re-read happened in either checkpoint.
     EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
     EXPECT_EQ(CounterOf(db.get(), "ckpt.taken"), 2u);
     EXPECT_EQ(CounterOf(db.get(), "ckpt.bytes_written"),
-              base_bytes + delta_bytes);
-    // A checkpoint with nothing new is a no-op, not an empty delta.
+              first_bytes + second_bytes);
+    // A checkpoint with nothing new is a no-op, not an empty run.
     ASSERT_TRUE(db->Checkpoint().ok());
     EXPECT_EQ(db->checkpoints_taken(), 2u);
   }
-  // The delta file exists on disk alongside the base.
-  bool saw_delta = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      saw_delta = true;
-      EXPECT_GT(prev, 0u);
-      EXPECT_GT(wm, prev);
-    }
-  }
-  EXPECT_TRUE(saw_delta);
+  EXPECT_EQ(RunFiles(dir.path).size(), 2u);
+  EXPECT_EQ(FilesWithPrefix(dir.path, "manifest-").size(), 1u);
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 1u);
-  EXPECT_GT(db->recovery_stats().base_watermark, 0u);
-  EXPECT_GT(db->recovery_stats().checkpoint_ts,
-            db->recovery_stats().base_watermark);
+  EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
+  // Everything sits at or below the second cut: nothing replays.
+  EXPECT_EQ(db->recovery_stats().commit_records_applied, 0u);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("t", &t).ok());
   auto txn = db->Begin({IsolationLevel::kSnapshot});
   std::string v;
-  for (int j = 0; j < kKeys; ++j) {
+  for (int j = 0; j + 1 < kKeys; ++j) {
     ASSERT_TRUE(txn->Get(t, "key" + std::to_string(j), &v).ok()) << j;
-    EXPECT_EQ(v, j < kTouched ? "updated" : std::string(48, 'v')) << j;
+    EXPECT_EQ(v, j < kTouched ? "updated" : pad) << j;
   }
+  // The tombstone survived the reopen in the newer run.
+  EXPECT_TRUE(txn->Get(t, deleted, &v).IsNotFound());
   EXPECT_TRUE(txn->Commit().ok());
+  Timestamp cts = 0;
+  bool tombstone = false;
+  ASSERT_TRUE(db->table(t)->Find("key0")->LatestCommitted(&cts, &tombstone));
+  EXPECT_EQ(cts, touch_cts);
+  ASSERT_TRUE(db->table(t)->Find(deleted)->LatestCommitted(&cts, &tombstone));
+  EXPECT_TRUE(tombstone);
+  EXPECT_EQ(cts, touch_cts);
 }
 
-TEST(RecoveryTest, DeltaChainCompactsIntoFreshBase) {
+TEST(RecoveryTest, RepeatedCheckpointsKeepRunCountBounded) {
   TempDir dir;
   DBOptions opts = DurableOptions(dir.path, false);
-  opts.log.checkpoint_max_deltas = 2;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  TableId t = 0;
-  ASSERT_TRUE(db->CreateTable("t", &t).ok());
-  const auto commit_one = [&](const std::string& key) {
-    auto txn = db->Begin();
-    ASSERT_TRUE(txn->Put(t, key, "v").ok());
-    ASSERT_TRUE(txn->Commit().ok());
-  };
-  // base, delta, delta, then the chain is full: the 4th image compacts.
-  for (int i = 0; i < 4; ++i) {
-    commit_one("k" + std::to_string(i));
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
-  EXPECT_EQ(db->checkpoints_taken(), 4u);
-  size_t bases = 0, deltas = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    const std::string name = entry.path().filename().string();
-    Timestamp a = 0, b = 0;
-    if (recovery::ParseDeltaCheckpointFileName(name, &a, &b)) {
-      ++deltas;
-    } else if (name.rfind("checkpoint-", 0) == 0 &&
-               name.find(".ckpt") != std::string::npos &&
-               name.find(".tmp") == std::string::npos) {
-      ++bases;
-    }
-  }
-  // Compaction superseded the old base and its whole delta chain.
-  EXPECT_EQ(bases, 1u);
-  EXPECT_EQ(deltas, 0u);
-  db.reset();
-  std::unique_ptr<DB> reopened;
-  ASSERT_TRUE(DB::Open(opts, &reopened).ok());
-  EXPECT_TRUE(reopened->recovery_stats().used_checkpoint);
-  EXPECT_EQ(reopened->recovery_stats().delta_links_applied, 0u);
-  ASSERT_TRUE(reopened->FindTable("t", &t).ok());
-  auto txn = reopened->Begin({IsolationLevel::kSnapshot});
-  std::string v;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(txn->Get(t, "k" + std::to_string(i), &v).ok()) << i;
-  }
-  EXPECT_TRUE(txn->Commit().ok());
-}
-
-TEST(RecoveryTest, CrashBetweenBaseAndDeltaRecoversBasePlusWal) {
-  TempDir dir;
-  constexpr uint64_t kTxns = 12;
-  ChildRun run = RunCrashingChild([&](int ack_fd) {
-    std::unique_ptr<DB> db;
-    DBOptions opts = DurableOptions(dir.path, true);
-    opts.log.checkpoint_max_deltas = 8;
-    if (!DB::Open(opts, &db).ok()) _exit(2);
-    TableId t = 0;
-    if (!db->CreateTable("kill", &t).ok()) _exit(2);
-    for (uint64_t i = 1; i <= kTxns; ++i) {
-      auto txn = db->Begin();
-      for (int j = 0; j < kKeysPerTxn; ++j) {
-        if (!txn->Put(t, TxnKey(i, j), TxnValue(i, j)).ok()) _exit(2);
-      }
-      if (!txn->Commit().ok()) _exit(2);
-      SendAck(ack_fd, i, txn->commit_ts());
-      if (i == kTxns / 2) {
-        if (!db->Checkpoint().ok()) _exit(2);  // The base image.
-      }
-    }
-    db.release();  // Crash before any delta is written.
-    _exit(0);
-  });
-  ASSERT_EQ(run.exit_code, 0);
-
-  DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 0u);
-  EXPECT_EQ(db->recovery_stats().checkpoint_ts,
-            db->recovery_stats().base_watermark);
-  TableId t = 0;
-  ASSERT_TRUE(db->FindTable("kill", &t).ok());
-  // Base covers the first half; WAL replay past it restores the rest.
-  ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
-}
-
-TEST(RecoveryTest, KillMidDeltaWriteFallsBackToBasePlusWal) {
-  TempDir dir;
-  constexpr uint64_t kTxns = 16;
-  ChildRun run = RunCrashingChild([&](int ack_fd) {
-    std::unique_ptr<DB> db;
-    DBOptions opts = DurableOptions(dir.path, true);
-    opts.log.checkpoint_max_deltas = 8;
-    if (!DB::Open(opts, &db).ok()) _exit(2);
-    TableId t = 0;
-    if (!db->CreateTable("kill", &t).ok()) _exit(2);
-    for (uint64_t i = 1; i <= kTxns; ++i) {
-      auto txn = db->Begin();
-      for (int j = 0; j < kKeysPerTxn; ++j) {
-        if (!txn->Put(t, TxnKey(i, j), TxnValue(i, j)).ok()) _exit(2);
-      }
-      if (!txn->Commit().ok()) _exit(2);
-      SendAck(ack_fd, i, txn->commit_ts());
-      if (i == kTxns / 4) {
-        if (!db->Checkpoint().ok()) _exit(2);  // Base.
-      } else if (i == kTxns / 2) {
-        if (!db->Checkpoint().ok()) _exit(2);  // Delta.
-      }
-    }
-    db.release();
-    _exit(0);
-  });
-  ASSERT_EQ(run.exit_code, 0);
-
-  // Simulate the checkpointer dying mid-delta-write: truncate the delta so
-  // its footer is gone, and strand a .tmp from a younger attempt.
-  bool damaged = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      const size_t half = static_cast<size_t>(fs::file_size(entry.path()) / 2);
-      std::string partial;
-      {
-        FILE* f = fopen(entry.path().string().c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        partial.resize(half);
-        ASSERT_EQ(fread(partial.data(), 1, half, f), half);
-        fclose(f);
-      }
-      {
-        FILE* f = fopen((entry.path().string() + ".tmp").c_str(), "wb");
-        fwrite(partial.data(), 1, partial.size(), f);
-        fclose(f);
-      }
-      fs::resize_file(entry.path(), half);
-      damaged = true;
-    }
-  }
-  ASSERT_TRUE(damaged);
-
-  DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  // The chain was cut before the torn delta; the base plus WAL replay
-  // (segment GC never reclaims past the base watermark) restores all.
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_TRUE(db->recovery_stats().chain_truncated);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 0u);
-  TableId t = 0;
-  ASSERT_TRUE(db->FindTable("kill", &t).ok());
-  ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
-}
-
-TEST(RecoveryTest, DamagedMiddleDeltaLinkFallsBackToOlderCutPlusWal) {
-  TempDir dir;
-  DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
-  constexpr int kBatches = 5;  // base + 3 deltas, batch 5 only in the WAL.
+  // No background sweeper: the checkpoint compacts on its own.
+  opts.version_gc_interval_ms = 0;
+  constexpr int kRounds = 10;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
     TableId t = 0;
     ASSERT_TRUE(db->CreateTable("t", &t).ok());
-    for (int b = 0; b < kBatches; ++b) {
+    for (int i = 0; i < kRounds; ++i) {
       auto txn = db->Begin();
-      for (int j = 0; j < 4; ++j) {
-        ASSERT_TRUE(txn->Put(t,
-                             "b" + std::to_string(b) + ":" +
-                                 std::to_string(j),
-                             "v" + std::to_string(b))
-                        .ok());
-      }
+      ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "v").ok());
       ASSERT_TRUE(txn->Commit().ok());
-      if (b < kBatches - 1) {
-        ASSERT_TRUE(db->Checkpoint().ok());
-      }
+      ASSERT_TRUE(db->Checkpoint().ok());
+      EXPECT_LT(db->storage_tier()->run_count(t), opts.run_compaction_min_runs)
+          << "round " << i;
     }
-    ASSERT_EQ(db->checkpoints_taken(), 4u);
+    EXPECT_EQ(db->checkpoints_taken(), static_cast<uint64_t>(kRounds));
+    EXPECT_GT(CounterOf(db.get(), "tier.compactions"), 0u);
+    EXPECT_EQ(RunFiles(dir.path).size(), db->storage_tier()->run_count(t));
   }
-  // Damage the *middle* delta link (the second of three by watermark).
-  std::vector<std::pair<Timestamp, std::string>> deltas;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      deltas.emplace_back(wm, entry.path().string());
-    }
-  }
-  ASSERT_EQ(deltas.size(), 3u);
-  std::sort(deltas.begin(), deltas.end());
-  {
-    const std::string& middle = deltas[1].second;
-    FILE* f = fopen(middle.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    const long mid = static_cast<long>(fs::file_size(middle) / 2);
-    fseek(f, mid, SEEK_SET);
-    const int original = fgetc(f);
-    fseek(f, mid, SEEK_SET);
-    fputc(original ^ 0x5a, f);
-    fclose(f);
-  }
-
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  // Chain cut at the damaged middle link: only the first delta applied...
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 1u);
-  EXPECT_TRUE(db->recovery_stats().chain_truncated);
-  EXPECT_EQ(db->recovery_stats().checkpoint_ts, deltas[0].first);
-  // ...and WAL replay past the older cut still restores every batch.
+  std::unique_ptr<DB> reopened;
+  ASSERT_TRUE(DB::Open(opts, &reopened).ok());
   TableId t = 0;
-  ASSERT_TRUE(db->FindTable("t", &t).ok());
-  auto txn = db->Begin({IsolationLevel::kSnapshot});
+  ASSERT_TRUE(reopened->FindTable("t", &t).ok());
+  auto txn = reopened->Begin({IsolationLevel::kSnapshot});
   std::string v;
-  for (int b = 0; b < kBatches; ++b) {
-    for (int j = 0; j < 4; ++j) {
-      ASSERT_TRUE(
-          txn->Get(t, "b" + std::to_string(b) + ":" + std::to_string(j), &v)
-              .ok())
-          << b << ":" << j;
-      EXPECT_EQ(v, "v" + std::to_string(b));
-    }
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_TRUE(txn->Get(t, "k" + std::to_string(i), &v).ok()) << i;
   }
   EXPECT_TRUE(txn->Commit().ok());
+}
+
+/// Assert every ack's keys read back with the ack's commit timestamp.
+void ExpectAckedTimestamps(DB* db, TableId t, const std::vector<Ack>& acks) {
+  for (const Ack& a : acks) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(t, TxnKey(a.seq, 0), &v).ok()) << a.seq;
+    ASSERT_TRUE(txn->Commit().ok());
+    Timestamp cts = 0;
+    ASSERT_TRUE(db->table(t)->Find(TxnKey(a.seq, 0))->LatestCommitted(
+        &cts, nullptr));
+    EXPECT_EQ(cts, a.commit_ts) << "txn " << a.seq;
+  }
+}
+
+/// Child body for the checkpoint kill points: commit kTxns transactions,
+/// acking each, and checkpoint after each one listed in `checkpoint_after`
+/// (calling `after_checkpoint` with its index); then crash.
+void CheckpointingChild(const std::string& dir, uint64_t txns,
+                        const std::vector<uint64_t>& checkpoint_after,
+                        const std::function<void(size_t)>& after_checkpoint,
+                        int ack_fd) {
+  std::unique_ptr<DB> db;
+  if (!DB::Open(DurableOptions(dir, true), &db).ok()) _exit(2);
+  TableId t = 0;
+  if (!db->CreateTable("kill", &t).ok()) _exit(2);
+  for (uint64_t i = 1; i <= txns; ++i) {
+    auto txn = db->Begin();
+    for (int j = 0; j < kKeysPerTxn; ++j) {
+      if (!txn->Put(t, TxnKey(i, j), TxnValue(i, j)).ok()) _exit(2);
+    }
+    if (!txn->Commit().ok()) _exit(2);
+    SendAck(ack_fd, i, txn->commit_ts());
+    const auto it =
+        std::find(checkpoint_after.begin(), checkpoint_after.end(), i);
+    if (it != checkpoint_after.end()) {
+      if (!db->Checkpoint().ok()) _exit(2);
+      if (after_checkpoint) after_checkpoint(it - checkpoint_after.begin());
+    }
+  }
+  db.release();  // Crash: no destructors, no final flush.
+  _exit(0);
+}
+
+TEST(RecoveryTest, CrashBetweenCheckpointsRecoversRunsPlusWal) {
+  TempDir dir;
+  constexpr uint64_t kTxns = 12;
+  ChildRun run = RunCrashingChild([&](int ack_fd) {
+    CheckpointingChild(dir.path, kTxns, {kTxns / 2}, nullptr, ack_fd);
+  });
+  ASSERT_EQ(run.exit_code, 0);
+  ASSERT_EQ(run.acks.size(), kTxns);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
+  EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
+  TableId t = 0;
+  ASSERT_TRUE(db->FindTable("kill", &t).ok());
+  // The runs cover the first half; WAL replay past the cut the rest.
+  ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
+  ExpectAckedTimestamps(db.get(), t, run.acks);
+}
+
+TEST(RecoveryTest, KillBetweenRunAndManifestRecoversEveryAck) {
+  TempDir dir;
+  constexpr uint64_t kTxns = 16;
+  // The child keeps a copy of the first checkpoint's manifest; after the
+  // crash the parent puts it back in place of the second one. That is
+  // the directory a kill between the second checkpoint's run rename and
+  // its manifest rename leaves: the new runs durable, the old manifest
+  // naming the cut. (One WAL segment: the second checkpoint's GC, which
+  // such a kill would preempt, has nothing it may delete.)
+  ChildRun run = RunCrashingChild([&](int ack_fd) {
+    CheckpointingChild(
+        dir.path, kTxns, {kTxns / 4, kTxns / 2},
+        [&](size_t checkpoint) {
+          if (checkpoint != 0) return;
+          const auto m = FilesWithPrefix(dir.path, "manifest-");
+          if (m.size() != 1) _exit(2);
+          fs::copy_file(m[0], dir.path + "/saved-" +
+                                  fs::path(m[0]).filename().string());
+        },
+        ack_fd);
+  });
+  ASSERT_EQ(run.exit_code, 0);
+  ASSERT_EQ(run.acks.size(), kTxns);
+  const auto manifests = FilesWithPrefix(dir.path, "manifest-");
+  const auto saved = FilesWithPrefix(dir.path, "saved-");
+  ASSERT_EQ(manifests.size(), 1u);
+  ASSERT_EQ(saved.size(), 1u);
+  const std::string first_name =
+      fs::path(saved[0]).filename().string().substr(strlen("saved-"));
+  ASSERT_NE(first_name, fs::path(manifests[0]).filename().string());
+  fs::remove(manifests[0]);
+  fs::rename(saved[0], dir.path + "/" + first_name);
+  ASSERT_EQ(RunFiles(dir.path).size(), 2u);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
+  EXPECT_EQ(recovery::ManifestFileName(db->recovery_stats().checkpoint_ts),
+            first_name);
+  TableId t = 0;
+  ASSERT_TRUE(db->FindTable("kill", &t).ok());
+  ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
+  ExpectAckedTimestamps(db.get(), t, run.acks);
+}
+
+TEST(RecoveryTest, DamagedCheckpointRunFailsOpen) {
+  TempDir dir;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto txn = db->Begin();
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), std::string(200, 'v'))
+                      .ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  const std::vector<std::string> runs = RunFiles(dir.path);
+  ASSERT_EQ(runs.size(), 1u);
+  FlipMiddleByte(runs[0]);
+  // The runs are the checkpoint's only copy of its data (the WAL below the
+  // cut may already be gone): a damaged run fails loudly, like a damaged
+  // spill run, instead of recovering a silently older state.
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).IsCorruption());
 }
 
 TEST(RecoveryTest, CorruptFinalRecordIsAlsoATornWrite) {
@@ -1029,48 +955,138 @@ TEST(RecoveryTest, KillMidCheckpointFallsBackToWal) {
   TempDir dir;
   constexpr uint64_t kTxns = 12;
   ChildRun run = RunCrashingChild([&](int ack_fd) {
-    std::unique_ptr<DB> db;
-    if (!DB::Open(DurableOptions(dir.path, true), &db).ok()) _exit(2);
-    TableId t = 0;
-    if (!db->CreateTable("kill", &t).ok()) _exit(2);
-    for (uint64_t i = 1; i <= kTxns; ++i) {
-      auto txn = db->Begin();
-      for (int j = 0; j < kKeysPerTxn; ++j) {
-        if (!txn->Put(t, TxnKey(i, j), TxnValue(i, j)).ok()) _exit(2);
-      }
-      if (!txn->Commit().ok()) _exit(2);
-      SendAck(ack_fd, i, txn->commit_ts());
-      if (i == kTxns / 2) {
-        if (!db->Checkpoint().ok()) _exit(2);
-      }
-    }
-    db.release();
-    _exit(0);
+    CheckpointingChild(dir.path, kTxns, {kTxns / 2}, nullptr, ack_fd);
   });
   ASSERT_EQ(run.exit_code, 0);
 
-  // Simulate the checkpointer dying mid-write: truncate the image so its
-  // footer is gone, and strand a .tmp from a second, younger attempt.
-  bool damaged = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("checkpoint-", 0) == 0 &&
-        name.find(".ckpt") != std::string::npos) {
-      fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2);
-      damaged = true;
-    }
+  // Simulate the checkpointer dying mid-write of the only checkpoint: its
+  // run never got past a half-written .tmp and no manifest exists. (Its
+  // GC had nothing to delete: one WAL segment.)
+  const std::vector<std::string> runs = RunFiles(dir.path);
+  ASSERT_EQ(runs.size(), 1u);
+  fs::rename(runs[0], runs[0] + ".tmp");
+  fs::resize_file(runs[0] + ".tmp", fs::file_size(runs[0] + ".tmp") / 2);
+  for (const std::string& m : FilesWithPrefix(dir.path, "manifest-")) {
+    fs::remove(m);
   }
-  ASSERT_TRUE(damaged);
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
-  // The WAL alone reconstructs everything the damaged image covered.
-  EXPECT_FALSE(db->recovery_stats().used_checkpoint);
+  // The WAL alone reconstructs everything the lost cut covered.
+  EXPECT_EQ(db->recovery_stats().checkpoint_ts, 0u);
+  EXPECT_EQ(db->storage_tier()->run_count(0), 0u);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("kill", &t).ok());
   const std::vector<uint64_t> present =
       PresentTxns(db.get(), t, kTxns + 1);
   ASSERT_EQ(present.size(), kTxns);
+  ExpectAckedTimestamps(db.get(), t, run.acks);
+}
+
+TEST(RecoveryTest, DamagedNewestManifestFallsBackElseOpenFails) {
+  TempDir dir;
+  const DBOptions opts = DurableOptions(dir.path, true);
+  std::string first_name;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto put = [&](const std::string& key) {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn->Put(t, key, "v:" + key).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    };
+    put("a");
+    ASSERT_TRUE(db->Checkpoint().ok());
+    const auto m = FilesWithPrefix(dir.path, "manifest-");
+    ASSERT_EQ(m.size(), 1u);
+    first_name = fs::path(m[0]).filename().string();
+    fs::copy_file(m[0], dir.path + "/saved");
+    put("b");
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  // Both manifests on disk (as after a crash before the older one was
+  // dropped), and the newest fails its CRC.
+  const auto newest = FilesWithPrefix(dir.path, "manifest-");
+  ASSERT_EQ(newest.size(), 1u);
+  fs::rename(dir.path + "/saved", dir.path + "/" + first_name);
+  FlipMiddleByte(newest[0]);
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    EXPECT_EQ(recovery::ManifestFileName(db->recovery_stats().checkpoint_ts),
+              first_name);
+    TableId t = 0;
+    ASSERT_TRUE(db->FindTable("t", &t).ok());
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    EXPECT_TRUE(txn->Get(t, "a", &v).ok());
+    EXPECT_TRUE(txn->Get(t, "b", &v).ok());
+    EXPECT_EQ(v, "v:b");
+    EXPECT_TRUE(txn->Commit().ok());
+  }
+  // No valid manifest left: Open refuses instead of replaying from empty.
+  FlipMiddleByte(dir.path + "/" + first_name);
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(opts, &db).IsCorruption());
+}
+
+TEST(RecoveryTest, PoolZeroReopenLeavesUntouchedChainsEvicted) {
+  TempDir dir;
+  DBOptions opts = DurableOptions(dir.path, true);
+  ASSERT_EQ(opts.buffer_pool_bytes, 0u);
+  constexpr int kKeys = 20;
+  constexpr int kTouched = 5;
+  std::vector<Timestamp> cts(kKeys);
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    for (int i = 0; i < kKeys; ++i) {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "old").ok());
+      ASSERT_TRUE(txn->Commit().ok());
+      cts[i] = txn->commit_ts();
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+    // Runtime spilling is off at buffer_pool_bytes = 0.
+    EXPECT_EQ(db->SpillChains(t), 0u);
+    for (int i = 0; i < kTouched; ++i) {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "new").ok());
+      ASSERT_TRUE(txn->Commit().ok());
+      cts[i] = txn->commit_ts();
+    }
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  ASSERT_NE(db->storage_tier(), nullptr);
+  EXPECT_EQ(db->storage_tier()->pool()->frame_count(),
+            StorageTier::kCheckpointPoolFrames);
+  TableId t = 0;
+  ASSERT_TRUE(db->FindTable("t", &t).ok());
+  // Keys the WAL past the cut rewrote are resident; the rest stay in the
+  // checkpoint's run until read.
+  for (int i = 0; i < kKeys; ++i) {
+    VersionChain* chain = db->table(t)->Find("k" + std::to_string(i));
+    ASSERT_NE(chain, nullptr);
+    EXPECT_EQ(chain->evicted(), i >= kTouched) << i;
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(t, key, &v).ok()) << key;
+    EXPECT_EQ(v, i < kTouched ? "new" : "old");
+    ASSERT_TRUE(txn->Commit().ok());
+    Timestamp got = 0;
+    ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, nullptr));
+    EXPECT_EQ(got, cts[i]) << key;
+  }
+  EXPECT_EQ(CounterOf(db.get(), "tier.faulted_chains"),
+            static_cast<uint64_t>(kKeys - kTouched));
 }
 
 TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
@@ -1095,12 +1111,12 @@ TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
     }
     ASSERT_EQ(db->checkpoints_taken(), 1u);
   }
-  // First reopen: checkpoint covers the first half, WAL replay the rest
-  // (records below the watermark replay idempotently over the image).
+  // First reopen: the checkpoint's run covers the first half, WAL replay
+  // the rest (records below the watermark are skipped).
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
-    EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+    EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
     EXPECT_GT(db->recovery_stats().commit_records_applied, 0u);
     TableId t = 0;
     ASSERT_TRUE(db->FindTable("kill", &t).ok());
@@ -1118,7 +1134,7 @@ TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
     ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
     TableId t = 0;
     ASSERT_TRUE(db->FindTable("kill", &t).ok());
-    EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+    EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
     // >= rather than ==: the previous block's verification transactions
     // committed (empty-redo records with fresh timestamps) before closing.
     EXPECT_GE(db->recovery_stats().max_commit_ts, last_cts);
@@ -1152,7 +1168,7 @@ TEST(RecoveryTest, BackgroundCheckpointerProducesUsableImages) {
   }
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+  EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("t", &t).ok());
   auto txn = db->Begin();
@@ -1318,7 +1334,7 @@ TEST(RecoveryWorkloadTest, TinyTpccLoadSurvivesKillAfterCheckpoint) {
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+  EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
   for (size_t i = 0; i < tables.size(); ++i) {
     TableId id = 0;
     ASSERT_TRUE(db->FindTable(tables[i], &id).ok()) << tables[i];

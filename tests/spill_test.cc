@@ -11,7 +11,10 @@
 //     opens runs instead of replaying everything into RAM);
 //   * compaction merges runs keeping the newest commit per key, streaming
 //     the same result a whole-table map merge would give, and a read
-//     error mid-merge leaves the inputs published and no file behind.
+//     error mid-merge leaves the inputs published and no file behind;
+//   * spills, checkpoints and compactions racing on one table never let
+//     an older version shadow a newer one (the tier's producer mutex);
+//   * a write whose entry cannot fit a run page is rejected up front.
 
 #include <gtest/gtest.h>
 
@@ -246,7 +249,7 @@ TEST(SpillTest, CompactionMergesRunsKeepingNewestCommit) {
   }
   ASSERT_EQ(tier->run_count(f.table), 4u);
 
-  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
+  ASSERT_TRUE(tier->MaybeCompact(tier->LockProducers(), f.table).ok());
   EXPECT_EQ(tier->run_count(f.table), 1u);
 
   // Faults after compaction see the newest wave.
@@ -359,7 +362,7 @@ TEST(SpillTest, StreamingCompactionMatchesReferenceMerge) {
 
   const uint64_t probes = tier->lookup_probes();
   EXPECT_GE(probes, reference.size()) << "each lookup pins at least a page";
-  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
+  ASSERT_TRUE(tier->MaybeCompact(tier->LockProducers(), f.table).ok());
   EXPECT_EQ(tier->run_count(f.table), 1u);
   EXPECT_EQ(tier->compactions(), 1u);
   const std::vector<std::string> outputs = RunFiles(f.dir.path);
@@ -413,7 +416,7 @@ TEST(SpillTest, CompactionReadErrorLeavesInputsPublished) {
   env.InjectFault(io::FaultInjectingEnv::FaultKind::kReadError, inputs[0],
                   /*skip=*/1, /*count=*/1);
   const uint64_t io_errors = tier->io_errors();
-  const Status st = tier->MaybeCompact(f.table);
+  const Status st = tier->MaybeCompact(tier->LockProducers(), f.table);
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_EQ(tier->run_count(f.table), 4u);
   EXPECT_EQ(tier->compactions(), 0u);
@@ -423,7 +426,7 @@ TEST(SpillTest, CompactionReadErrorLeavesInputsPublished) {
 
   // The disk heals: the next pass merges, and every read still answers.
   env.ClearFaults();
-  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
+  ASSERT_TRUE(tier->MaybeCompact(tier->LockProducers(), f.table).ok());
   EXPECT_EQ(tier->run_count(f.table), 1u);
   for (uint64_t i = 0; i < 64; ++i) {
     std::string v;
@@ -464,14 +467,14 @@ TEST(SpillTest, RunsAreTheDurableHomeAcrossRestart) {
     }
     db->SpillChains(table);
     ASSERT_EQ(db->SpillChains(table), kKeys);
-    // The checkpoint's sweep skips the evicted chains — the runs, not the
-    // image, are their durable home from here on.
+    // The checkpoint's sweep skips the evicted chains: their spill run is
+    // already durable, and stays their home from here on.
     ASSERT_TRUE(db->Checkpoint().ok());
   }
   // Reopen: recovery must open the runs and leave the spilled chains on
-  // disk (the checkpoint image does not contain them, so any resident
-  // copy could only have come from a WAL segment the GC may keep or drop;
-  // either way the values and their original commit timestamps survive).
+  // disk (nothing committed past the checkpoint's cut, so WAL replay
+  // installs nothing; the values and their original commit timestamps
+  // survive in the run).
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
   const TableId table = 0;
@@ -509,7 +512,8 @@ TEST(SpillTest, ConcurrentSpillFaultStress) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       f.db->SpillChains(f.table);
-      f.db->storage_tier()->MaybeCompact(f.table);
+      StorageTier* tier = f.db->storage_tier();
+      tier->MaybeCompact(tier->LockProducers(), f.table);
     }
   });
   for (int t = 0; t < 3; ++t) {
@@ -540,6 +544,187 @@ TEST(SpillTest, ConcurrentSpillFaultStress) {
   for (uint64_t i = 0; i < kKeys; ++i) {
     std::string v;
     EXPECT_TRUE(f.Get(EncodeU64Key(i), &v).ok()) << i;
+  }
+}
+
+TEST(SpillTest, OversizedEntriesRejectedAtTheBoundary) {
+  ScratchDir dir;
+  DBOptions durable;
+  durable.log.wal_dir = dir.path + "/wal";
+  durable.run_page_bytes = 4096;
+  const std::string key = "big";
+  // The largest value whose run encoding still fits one page.
+  const uint64_t limit = RunFile::MaxEntryBytes(durable.run_page_bytes) -
+                         RunFile::EncodedEntryBytes(key.size(), 0);
+  const std::string at_limit(limit, 'x');
+  const std::string over(limit + 1, 'y');
+  Timestamp cts = 0;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(durable, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    ASSERT_TRUE(txn->Put(t, key, at_limit).ok());
+    EXPECT_TRUE(txn->Put(t, "other", over).IsInvalidArgument());
+    EXPECT_TRUE(txn->Insert(t, "other", over).IsInvalidArgument());
+    ASSERT_TRUE(txn->Commit().ok());  // A statement error, not an abort.
+    cts = txn->commit_ts();
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(durable, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->FindTable("t", &t).ok());
+    EXPECT_TRUE(db->table(t)->Find(key)->evicted());  // Home: the run.
+    EXPECT_EQ(db->table(t)->Find("other"), nullptr);
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(t, key, &v).ok());
+    EXPECT_EQ(v, at_limit);
+    ASSERT_TRUE(txn->Commit().ok());
+    Timestamp got = 0;
+    ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, nullptr));
+    EXPECT_EQ(got, cts);
+  }
+  // A version written under a larger run page and replayed from the WAL
+  // under a smaller one cannot enter a run: the checkpoint fails cleanly
+  // (no run, no .tmp) and the version stays readable.
+  {
+    DBOptions large = durable;
+    large.log.wal_dir = dir.path + "/wal-large";
+    large.run_page_bytes = 2 * durable.run_page_bytes;
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(large, &db).ok());
+      TableId t = 0;
+      ASSERT_TRUE(db->CreateTable("t", &t).ok());
+      auto txn = db->Begin({IsolationLevel::kSnapshot});
+      ASSERT_TRUE(txn->Put(t, key, over).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+    large.run_page_bytes = durable.run_page_bytes;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(large, &db).ok());
+    EXPECT_TRUE(db->Checkpoint().IsInvalidArgument());
+    EXPECT_TRUE(RunFiles(large.log.wal_dir + "/runs").empty());
+    TableId t = 0;
+    ASSERT_TRUE(db->FindTable("t", &t).ok());
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(t, key, &v).ok());
+    EXPECT_EQ(v, over);
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  // A spilling in-memory engine (data_dir + pool, no WAL) has the same
+  // boundary; a memory-only engine has no run page and accepts both.
+  DBOptions spilling = TierOptions(dir.path + "/spill");
+  DBOptions memory_only;
+  for (const DBOptions& opts : {spilling, memory_only}) {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    EXPECT_TRUE(txn->Put(t, key, at_limit).ok());
+    EXPECT_EQ(txn->Put(t, "other", over).ok(), db->storage_tier() == nullptr);
+    EXPECT_TRUE(txn->Commit().ok());
+  }
+}
+
+/// Writers, a spill loop and a checkpoint loop (which compacts) race on
+/// one table, then the DB closes and reopens. Each writer owns its keys,
+/// so the newest acknowledged value per key is known: every in-flight
+/// read of an own key must return it, and so must every read after the
+/// reopen, with its original commit timestamp. Without the tier's
+/// producer mutex a compaction could publish a merged run above a spill
+/// or checkpoint run it never read, shadowing the newer version.
+TEST(SpillTest, CheckpointSpillAndCompactionRaceKeepsNewestAcrossReopen) {
+  ScratchDir dir;
+  DBOptions opts = TierOptions(dir.path + "/runs");
+  opts.log.wal_dir = dir.path + "/wal";
+  opts.log.wal_fsync = false;  // Closing the DB drains the log anyway.
+  constexpr uint64_t kKeys = 256;
+  constexpr int kWriters = 2;
+  struct Acked {
+    std::string value;
+    Timestamp cts = 0;
+  };
+  std::vector<Acked> acked(kKeys);  // Key i is written only by i % kWriters.
+  TableId table = 0;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    ASSERT_TRUE(db->CreateTable("t", &table).ok());
+    std::atomic<bool> stop_writers{false};
+    std::atomic<bool> stop_producers{false};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        Random rng(static_cast<uint64_t>(w) * 977 + 5);
+        for (uint64_t n = 0; !stop_writers.load(std::memory_order_relaxed);
+             ++n) {
+          const uint64_t i = rng.Uniform(kKeys / kWriters) * kWriters + w;
+          const std::string key = EncodeU64Key(i);
+          auto txn = db->Begin({IsolationLevel::kSnapshot});
+          std::string v;
+          const Status got = txn->Get(table, key, &v);
+          if (acked[i].cts == 0 ? !got.IsNotFound()
+                                : !got.ok() || v != acked[i].value) {
+            if (!got.IsIOError()) failed.store(true);  // IOError: retry.
+            txn->Abort();
+            continue;
+          }
+          const std::string value =
+              "w" + std::to_string(w) + "n" + std::to_string(n) +
+              std::string(64 + n % 64, 'a' + n % 26);
+          if (txn->Put(table, key, value).ok() && txn->Commit().ok()) {
+            acked[i] = Acked{value, txn->commit_ts()};
+          }
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      while (!stop_producers.load(std::memory_order_relaxed)) {
+        db->SpillChains(table);
+      }
+    });
+    threads.emplace_back([&] {
+      while (!stop_producers.load(std::memory_order_relaxed)) {
+        db->Checkpoint();
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    stop_writers.store(true);
+    threads[0].join();
+    threads[1].join();
+    // Producers keep going over the final values for a moment.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stop_producers.store(true);
+    for (size_t k = 2; k < threads.size(); ++k) threads[k].join();
+    EXPECT_FALSE(failed.load()) << "a read missed its own newest write";
+    EXPECT_GT(db->checkpoints_taken(), 0u);
+    EXPECT_GT(CounterOf(db.get(), "tier.spilled_chains"), 0u);
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const std::string key = EncodeU64Key(i);
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    const Status got = txn->Get(table, key, &v);
+    ASSERT_TRUE(txn->Commit().ok());
+    if (acked[i].cts == 0) {
+      EXPECT_TRUE(got.IsNotFound()) << i;
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << i << " " << got.ToString();
+    EXPECT_EQ(v, acked[i].value) << i;
+    Timestamp cts = 0;
+    ASSERT_TRUE(db->table(table)->Find(key)->LatestCommitted(&cts, nullptr));
+    EXPECT_EQ(cts, acked[i].cts) << i;
   }
 }
 

@@ -417,7 +417,9 @@ TEST_P(VersionChainModelTest, AgreesWithReferenceModel) {
           ASSERT_FALSE(rr.found) << "step " << step;
         } else {
           ASSERT_EQ(rr.found, !expected->tombstone) << "step " << step;
-          if (rr.found) ASSERT_EQ(got, expected->value) << "step " << step;
+          if (rr.found) {
+            ASSERT_EQ(got, expected->value) << "step " << step;
+          }
           ASSERT_EQ(rr.version_cts, expected->cts) << "step " << step;
         }
         // The newer-version report must list exactly the committed
